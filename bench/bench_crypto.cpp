@@ -1,5 +1,6 @@
 // Micro-benchmarks for the cryptographic substrate everything else rests
-// on: SHA-256, Merkle trees, the state trie, hashcash and signatures.
+// on: SHA-256 (both compression kernels), Merkle trees, the state trie,
+// hashcash, signatures, and the storage-frame CRC-32.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -12,6 +13,7 @@
 #include "crypto/sha256.hpp"
 #include "crypto/trie.hpp"
 #include "obs/metrics.hpp"
+#include "storage/crc32.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 
@@ -28,6 +30,41 @@ void BM_Sha256(benchmark::State& state) {
                           static_cast<std::int64_t>(size));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+
+/// One 64-byte compression per iteration, chained so each call depends on
+/// the last (the shape of every multi-block hash).
+void BM_Sha256Compress(benchmark::State& state,
+                       void (*compress)(std::uint32_t*, const Byte*,
+                                        std::size_t),
+                       bool needs_hw) {
+  if (needs_hw && !detail::sha256_hw_available()) {
+    state.SkipWithError("CPU lacks the SHA extensions");
+    return;
+  }
+  std::uint32_t h[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  Byte block[64] = {};
+  for (auto _ : state) {
+    compress(h, block, 1);
+    benchmark::DoNotOptimize(h);
+    block[0] = static_cast<Byte>(h[0]);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+BENCHMARK_CAPTURE(BM_Sha256Compress, scalar, detail::sha256_compress_scalar,
+                  false);
+BENCHMARK_CAPTURE(BM_Sha256Compress, hw, detail::sha256_compress_hw, true);
+
+/// A storage frame's CRC: 216 bytes is a lattice block record, 1024 a
+/// larger payload.
+void BM_Crc32(benchmark::State& state) {
+  const std::size_t size = static_cast<std::size_t>(state.range(0));
+  Bytes data(size, 0x3c);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(storage::crc32(ByteView{data.data(), size}));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_Crc32)->Arg(216)->Arg(1024);
 
 void BM_Sha256d(benchmark::State& state) {
   Bytes data(80, 0x5a);  // a block header's worth
@@ -145,10 +182,15 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
+  // Sha256 dispatches to SHA-NI exactly when the CPU has it.
+  const char* kernel =
+      dlt::crypto::detail::sha256_hw_available() ? "sha-ni" : "scalar";
   dlt::support::JsonObject report;
   report.put("bench", "crypto");
+  report.put("sha256_kernel", kernel);
   report.put_raw("metrics", reporter.registry.to_json().to_string());
   dlt::support::write_bench_report("crypto", report);
-  std::cout << "Wrote BENCH_crypto.json\n";
+  std::cout << "SHA-256 kernel in use: " << kernel
+            << "\nWrote BENCH_crypto.json\n";
   return 0;
 }

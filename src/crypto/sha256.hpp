@@ -5,8 +5,15 @@
 // exactly as Bitcoin does with SHA-256d (paper §III-A1: "partial hash
 // inversion requires that the hash of a block of transactions together with
 // a nonce matches a certain pattern").
+//
+// The compression function has two kernels. On x86-64 CPUs with the SHA
+// extensions (SHA-NI) it runs on sha256rnds2/msg1/msg2; everywhere else
+// it runs the portable scalar code, which stays the reference. The kernel
+// is picked once from CPUID at first use. Both give identical digests, so
+// every hash, signature, PoW verdict and trace is the same on any host.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "support/bytes.hpp"
@@ -44,7 +51,7 @@ class Sha256 {
   static Sha256 from_midstate(const Sha256Midstate& m);
 
  private:
-  void process_block(const Byte* block);
+  void process_blocks(const Byte* data, std::size_t blocks);
 
   std::uint32_t h_[8];
   Byte buf_[64];
@@ -52,6 +59,22 @@ class Sha256 {
   std::uint64_t total_len_ = 0;
   bool finalized_ = false;
 };
+
+namespace detail {
+
+// The two compression kernels, exposed for differential tests and
+// microbenches only; Sha256 picks between them by itself. Each folds
+// `blocks` consecutive 64-byte blocks into the chaining `state`.
+void sha256_compress_scalar(std::uint32_t state[8], const Byte* data,
+                            std::size_t blocks);
+/// Requires sha256_hw_available(); falls back to the scalar kernel on
+/// non-x86 builds.
+void sha256_compress_hw(std::uint32_t state[8], const Byte* data,
+                        std::size_t blocks);
+/// True when the CPU has SHA-NI plus SSSE3 and SSE4.1.
+bool sha256_hw_available();
+
+}  // namespace detail
 
 /// SHA-256(SHA-256(x)) -- Bitcoin's block/tx hash.
 Hash256 sha256d(ByteView data);

@@ -191,6 +191,7 @@ void Ledger::apply_validated(const LatticeBlock& block, const BlockHash& hash) {
   if (block.type == BlockType::kOpen) {
     auto pend = pending_.find(block.link);
     claimed_.emplace(block.link, std::make_pair(hash, pend->second));
+    pending_total_ -= pend->second.amount;
     pending_.erase(pend);
 
     AccountInfo info;
@@ -206,9 +207,11 @@ void Ledger::apply_validated(const LatticeBlock& block, const BlockHash& hash) {
       const Amount amount = head.balance - block.balance;
       crypto::AccountId destination = block.link;
       pending_.emplace(hash, PendingInfo{block.account, destination, amount});
+      pending_total_ += amount;
     } else if (block.type == BlockType::kReceive) {
       auto pend = pending_.find(block.link);
       claimed_.emplace(block.link, std::make_pair(hash, pend->second));
+      pending_total_ -= pend->second.amount;
       pending_.erase(pend);
     }
 
@@ -431,10 +434,6 @@ Amount Ledger::weight_of(const crypto::AccountId& representative) const {
   return it == weights_.end() ? 0 : it->second;
 }
 
-Amount Ledger::total_weight() const {
-  return supply_ - total_pending();
-}
-
 Status Ledger::rollback_one(const BlockHash& hash,
                             std::vector<LatticeBlock>& removed) {
   auto loc = locations_.find(hash);
@@ -466,6 +465,7 @@ Status Ledger::rollback_one(const BlockHash& hash,
       }
       auto pend = pending_.find(top_hash);
       assert(pend != pending_.end());
+      pending_total_ -= pend->second.amount;
       pending_.erase(pend);
     } else if (top.type == BlockType::kReceive ||
                top.type == BlockType::kOpen) {
@@ -473,6 +473,7 @@ Status Ledger::rollback_one(const BlockHash& hash,
       auto claim = claimed_.find(top.link);
       assert(claim != claimed_.end());
       pending_.emplace(top.link, claim->second.second);
+      pending_total_ += claim->second.second.amount;
       claimed_.erase(claim);
     }
 

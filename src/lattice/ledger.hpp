@@ -140,13 +140,16 @@ class Ledger {
   }
   std::vector<std::pair<BlockHash, PendingInfo>> pending_for(
       const crypto::AccountId& destination) const;
+  /// Recomputed from scratch over pending(); total_weight() reads the
+  /// incrementally kept sum instead.
   Amount total_pending() const;
 
   // ---- Voting weight (paper §III-B) ---------------------------------------
   /// "A representative's weight is calculated as the sum of all balances
   /// for accounts that chose this representative."
   Amount weight_of(const crypto::AccountId& representative) const;
-  Amount total_weight() const;  // == supply minus pending amounts
+  /// == supply minus pending amounts; O(1), read on every vote tally.
+  Amount total_weight() const { return supply_ - pending_total_; }
 
   // ---- Conflict resolution support (§IV-B) --------------------------------
   /// Removes `hash` and everything depending on it (later blocks in its
@@ -332,6 +335,8 @@ class Ledger {
   std::unordered_map<crypto::AccountId, AccountInfo> accounts_;
   std::unordered_map<BlockHash, BlockLocation> locations_;
   std::unordered_map<BlockHash, PendingInfo> pending_;
+  // Sum of pending_ amounts, kept at every pending_ insert and erase.
+  Amount pending_total_ = 0;
   // Claimed sends: send hash -> (claiming block hash, original info);
   // needed to restore pending entries on rollback.
   std::unordered_map<BlockHash, std::pair<BlockHash, PendingInfo>> claimed_;

@@ -1,9 +1,15 @@
-// SHA-256 against FIPS 180-4 / NIST test vectors, plus the hashing helpers.
+// SHA-256 against FIPS 180-4 / NIST test vectors, plus the hashing helpers,
+// plus differential tests of the SHA-NI kernel against the scalar reference.
+// The vectors run on whichever kernel this CPU dispatches to.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <cstring>
 
 #include "crypto/hash.hpp"
 #include "crypto/sha256.hpp"
 #include "support/hex.hpp"
+#include "support/rng.hpp"
 
 namespace dlt::crypto {
 namespace {
@@ -66,6 +72,74 @@ TEST(Sha256, DoubleHashDiffersFromSingle) {
   const Hash256 twice = sha256d(as_bytes("abc"));
   EXPECT_NE(once, twice);
   EXPECT_EQ(twice, Sha256::digest(once.view()));
+}
+
+// ------------------------------------------------ kernel differentials
+
+using State = std::array<std::uint32_t, 8>;
+
+constexpr State kIv = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+/// One-shot SHA-256 over the scalar kernel only (FIPS 180-4 §5.1.1
+/// padding), independent of the dispatched streaming path.
+Hash256 scalar_digest(ByteView data) {
+  State h = kIv;
+  const std::size_t whole = data.size() / 64;
+  detail::sha256_compress_scalar(h.data(), data.data(), whole);
+  Byte tail[128] = {};
+  const std::size_t rest = data.size() - 64 * whole;
+  if (rest > 0) std::memcpy(tail, data.data() + 64 * whole, rest);
+  tail[rest] = 0x80;
+  const std::size_t tail_len = rest < 56 ? 64 : 128;
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  for (int i = 0; i < 8; ++i)
+    tail[tail_len - 1 - i] = static_cast<Byte>(bits >> (8 * i));
+  detail::sha256_compress_scalar(h.data(), tail, tail_len / 64);
+  Hash256 out;
+  for (int i = 0; i < 8; ++i)
+    for (int j = 0; j < 4; ++j)
+      out.v[4 * i + j] = static_cast<Byte>(h[i] >> (24 - 8 * j));
+  return out;
+}
+
+TEST(Sha256Kernel, HardwareMatchesScalarOnRandomBlocks) {
+  if (!detail::sha256_hw_available())
+    GTEST_SKIP() << "CPU lacks the SHA extensions";
+  Rng rng(0x5a256);
+  for (int i = 0; i < 10'000; ++i) {
+    State ref, hw;
+    for (std::uint32_t& w : ref) w = static_cast<std::uint32_t>(rng.next());
+    hw = ref;
+    Byte blocks[128];
+    for (Byte& b : blocks) b = static_cast<Byte>(rng.next());
+    const std::size_t n = 1 + static_cast<std::size_t>(i % 2);
+    detail::sha256_compress_scalar(ref.data(), blocks, n);
+    detail::sha256_compress_hw(hw.data(), blocks, n);
+    ASSERT_EQ(ref, hw) << "pair " << i << ", " << n << " block(s)";
+  }
+}
+
+TEST(Sha256Kernel, StreamingMatchesScalarAtEveryLength) {
+  Rng rng(0x57e4);
+  Bytes msg(300);
+  for (Byte& b : msg) b = static_cast<Byte>(rng.next());
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const ByteView view{msg.data(), len};
+    const Hash256 want = scalar_digest(view);
+    ASSERT_EQ(Sha256::digest(view), want) << "one-shot, len " << len;
+    for (int trial = 0; trial < 4; ++trial) {
+      Sha256 ctx;
+      std::size_t off = 0;
+      while (off < len) {
+        const std::size_t take = std::min<std::size_t>(
+            len - off, rng.uniform_range(0, 70));
+        ctx.update(ByteView{msg.data() + off, take});
+        off += take;
+      }
+      ASSERT_EQ(ctx.finalize(), want) << "chunked, len " << len;
+    }
+  }
 }
 
 TEST(TaggedHash, DomainSeparation) {

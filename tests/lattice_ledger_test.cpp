@@ -3,7 +3,10 @@
 // §III-B, §IV-B, §V-B).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "lattice_test_util.hpp"
+#include "storage/ledger_store.hpp"
 
 namespace dlt::lattice {
 namespace {
@@ -303,6 +306,64 @@ TEST_F(LedgerTest, PruneWithoutCementKeepsEverything) {
   const std::uint64_t blocks = ledger.block_count();
   ledger.prune_history();
   EXPECT_EQ(ledger.block_count(), blocks);
+}
+
+TEST_F(LedgerTest, TotalWeightTracksPendingThroughEveryMutation) {
+  // total_weight() reads an incrementally kept pending sum; it must agree
+  // with the from-scratch total_pending() after every kind of change.
+  const auto matches = [](const Ledger& l) {
+    return l.total_weight() == l.supply() - l.total_pending();
+  };
+  auto store =
+      std::make_shared<storage::LedgerStore>(storage::StorageConfig{}, "lat");
+  ledger.attach_store(store);
+
+  fund(alice, 300);
+  LatticeBlock to_bob = b.send(alice, bob.account_id(), 40);
+  ASSERT_TRUE(ledger.process(to_bob).ok());
+  EXPECT_EQ(ledger.total_weight(), 1'000'000u - 40u);
+  EXPECT_TRUE(matches(ledger)) << "after process";
+
+  // Fork: two sends on one root; the loser wins the election, so the
+  // applied one (and the open claiming it) rolls back.
+  LatticeBlock s1 = b.send(genesis, bob.account_id(), 25);
+  LatticeBlock s2 = b.send(genesis, alice.account_id(), 35);
+  ASSERT_TRUE(ledger.process(s1).ok());
+  ASSERT_EQ(ledger.process(s2).error().code, "fork");
+  ASSERT_TRUE(ledger.process(b.open(bob, s1.hash(), 25, bob.account_id()))
+                  .ok());
+  EXPECT_TRUE(matches(ledger)) << "before fork rollback";
+  ASSERT_TRUE(ledger.rollback(s1.hash()).ok());
+  EXPECT_TRUE(matches(ledger)) << "after fork rollback";
+  ASSERT_TRUE(ledger.process(s2).ok());
+  EXPECT_EQ(ledger.total_weight(), 1'000'000u - 40u - 35u);
+  EXPECT_TRUE(matches(ledger)) << "after fork resolution";
+
+  // Rolling back a receive re-exposes its send as pending.
+  LatticeBlock recv = b.receive(alice, s2.hash(), 35);
+  ASSERT_TRUE(ledger.process(recv).ok());
+  EXPECT_TRUE(matches(ledger)) << "after receive";
+  ASSERT_TRUE(ledger.rollback(recv.hash()).ok());
+  EXPECT_TRUE(matches(ledger)) << "after receive rollback";
+
+  // A fresh replica rebuilt from the store agrees.
+  Ledger replica(cheap_params(), genesis.account_id(), genesis.account_id(),
+                 1'000'000);
+  replica.attach_store(store);
+  EXPECT_GT(replica.replay_from_store(), 0u);
+  EXPECT_EQ(replica.total_weight(), ledger.total_weight());
+  EXPECT_TRUE(matches(replica)) << "after replay from store";
+
+  // Head-only pruning drops history but no pending entry.
+  for (const auto* who : {&genesis, &alice})
+    ASSERT_TRUE(
+        ledger.cement(ledger.account(who->account_id())->head().hash()).ok());
+  const Amount weight_before = ledger.total_weight();
+  EXPECT_GT(ledger.prune_history(), 0u);
+  EXPECT_EQ(ledger.total_weight(), weight_before);
+  EXPECT_TRUE(matches(ledger)) << "after pruning";
+  ASSERT_TRUE(ledger.process(b.send(alice, bob.account_id(), 5)).ok());
+  EXPECT_TRUE(matches(ledger)) << "after process on pruned history";
 }
 
 TEST_F(LedgerTest, FindBlockAndHeads) {

@@ -77,6 +77,44 @@ TEST(Crc32, KnownVectorAndIncremental) {
   EXPECT_EQ(crc32(Bytes{}), 0u);
 }
 
+/// Bit-at-a-time CRC-32, independent of the sliced tables.
+std::uint32_t crc32_bitwise(ByteView data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (Byte b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicedMatchesBitwiseReference) {
+  Bytes buf(300 + 8);
+  std::uint32_t x = 0x12345678u;
+  for (Byte& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<Byte>(x);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const ByteView view{buf.data() + offset, len};
+      const std::uint32_t want = crc32_bitwise(view);
+      ASSERT_EQ(crc32(view), want) << "offset " << offset << " len " << len;
+      for (std::size_t split : {std::size_t{1}, std::size_t{7},
+                                std::size_t{9}, len / 2, len - len / 3}) {
+        if (split > len) continue;
+        std::uint32_t crc = crc32_init();
+        crc = crc32_update(crc, view.subspan(0, split));
+        crc = crc32_update(crc, view.subspan(split));
+        ASSERT_EQ(crc32_final(crc), want)
+            << "offset " << offset << " len " << len << " split " << split;
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------- block log
 
 TEST(BlockLog, AppendReadEraseRoundtrip) {

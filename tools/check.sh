@@ -25,9 +25,12 @@
 # verification, sharded state application) under ThreadSanitizer; it is
 # split from the default run because TSan is an order of magnitude
 # slower than the tier-1 suite.
-# --perf builds bench_simcore and bench_hotpath in a Release tree
-# (build-perf) and gates on the recorded scheduler speedup: the slab
-# engine must hold >= 2x events/sec over the embedded legacy scheduler.
+# --perf builds bench_simcore, bench_hotpath and bench_crypto in a Release
+# tree (build-perf) and gates on the recorded scheduler speedup (the slab
+# engine must hold >= 2x events/sec over the embedded legacy scheduler)
+# and on SHA-256 kernel dispatch: on a CPU with the SHA extensions the
+# library runs the SHA-NI compression, which must beat the scalar one;
+# elsewhere the gate prints a skip line.
 # --latency runs a traced cluster bench end-to-end through the
 # observability pipeline: DLT_TRACE trace -> tools/trace_plot.py Gantt +
 # CDF outputs (must be non-empty), plus a direction check that
@@ -252,7 +255,8 @@ fi
 if [[ "$PERF" == "1" ]]; then
   echo "=== [perf] configure + build (Release) ==="
   cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-perf -j "$JOBS" --target bench_simcore bench_hotpath
+  cmake --build build-perf -j "$JOBS" --target bench_simcore bench_hotpath \
+    bench_crypto
   echo "=== [perf] bench_simcore (fire-order differential + speedup gate) ==="
   perfdir="$(mktemp -d)"
   (cd "$perfdir" && "$OLDPWD/build-perf/bench/bench_simcore")
@@ -268,6 +272,24 @@ if not identical:
     sys.exit("FAIL: fire order diverged from the legacy scheduler")
 if speedup < 2.0:
     sys.exit(f"FAIL: schedule/fire speedup {speedup:.2f}x below the 2.0x gate")
+EOF
+  echo "=== [perf] bench_crypto (SHA-256 kernel dispatch gate) ==="
+  (cd "$perfdir" && "$OLDPWD/build-perf/bench/bench_crypto" \
+    --benchmark_filter='BM_Sha256Compress|BM_Crc32' >/dev/null)
+  python3 - "$perfdir/BENCH_crypto.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+hist = report["metrics"]["histograms"]
+scalar = hist["profile.BM_Sha256Compress/scalar_ns"]["median"]
+if report["sha256_kernel"] != "sha-ni":
+    print(f"SKIP: CPU lacks the SHA extensions; the scalar kernel "
+          f"({scalar:.1f} ns/block) is the one in use")
+    sys.exit(0)
+hw = hist["profile.BM_Sha256Compress/hw_ns"]["median"]
+print(f"SHA-256 compression: sha-ni {hw:.1f} ns/block (dispatched), "
+      f"scalar {scalar:.1f} ns/block ({scalar / hw:.2f}x)")
+if hw >= scalar:
+    sys.exit("FAIL: the dispatched SHA-NI kernel is not faster than scalar")
 EOF
   rm -rf "$perfdir"
   echo "=== [perf] OK ==="
