@@ -332,6 +332,15 @@ BigBlockFixture make_big_block(std::size_t tx_count) {
   return fx;
 }
 
+/// Worker count for the block-connect passes: DLT_VERIFY_THREADS when
+/// set (parsed as for every cluster bench), else 4.
+std::size_t connect_workers() {
+  CryptoConfig config;
+  config.verify_threads = 4;
+  apply_env_crypto(config);
+  return config.verify_threads;
+}
+
 ConnectResult bench_parallel_connect(std::size_t workers) {
   const BigBlockFixture fx = make_big_block(2000);
   const chain::ChainParams& params = fx.params;
@@ -463,16 +472,18 @@ int main(int argc, char** argv) {
   if (argc > 1) {
     const std::string mode = argv[1];
     if (mode == "--connect") {
-      const ConnectResult c = bench_parallel_connect(4);
+      const ConnectResult c = bench_parallel_connect(connect_workers());
       std::cout << mode << ": serial " << fmt(c.serial_ms, 2)
-                << " ms, pipeline " << fmt(c.parallel_ms, 2) << " ms, "
-                << fmt(c.speedup, 2) << "x\n";
+                << " ms, pipeline (" << c.workers << " workers) "
+                << fmt(c.parallel_ms, 2) << " ms, " << fmt(c.speedup, 2)
+                << "x\n";
       return 0;
     }
     if (mode == "--connect-state") {
-      const StateShardResult s = bench_state_sharding(4);
+      const StateShardResult s = bench_state_sharding(connect_workers());
       std::cout << mode << ": serial " << fmt(s.serial_ms, 2)
-                << " ms, sharded " << fmt(s.sharded_ms, 2) << " ms, "
+                << " ms, sharded (" << s.workers << " workers) "
+                << fmt(s.sharded_ms, 2) << " ms, "
                 << fmt(s.speedup, 2) << "x, tip "
                 << (s.tip_identical ? "identical" : "DIVERGED") << "\n";
       return s.tip_identical ? 0 : 1;
@@ -558,7 +569,7 @@ int main(int argc, char** argv) {
   std::cout << "\nParallel validation: one 2000-signature block, fresh "
                "chain + cold sigcache per pass, serial vs sharded "
                "pipeline.\n";
-  const ConnectResult conn = bench_parallel_connect(4);
+  const ConnectResult conn = bench_parallel_connect(connect_workers());
   Table conn_table({"mode", "ms/connect", "connects/s"});
   conn_table.row({"serial", fmt(conn.serial_ms, 2),
                   fmt(conn.serial_ms > 0 ? 1e3 / conn.serial_ms : 0, 1)});
@@ -577,7 +588,7 @@ int main(int argc, char** argv) {
   std::cout << "\nState sharding: the same 2000-payment fully-disjoint "
                "block, serial reference vs conflict-group sharded "
                "application.\n";
-  const StateShardResult shard = bench_state_sharding(4);
+  const StateShardResult shard = bench_state_sharding(connect_workers());
   Table shard_table({"mode", "ms/connect", "connects/s"});
   shard_table.row({"serial", fmt(shard.serial_ms, 2),
                    fmt(shard.serial_ms > 0 ? 1e3 / shard.serial_ms : 0, 1)});

@@ -72,14 +72,17 @@ Status UtxoMempool::add(const UtxoTransaction& tx, const UtxoSet& utxo,
   auto [it, inserted] = pool_.emplace(id, std::move(entry));
   by_rate_.emplace(SelKey{it->second.fee_rate(), it->second.seq},
                    &it->second);
+  ++sizes_[bytes];
   return Status::success();
 }
 
 std::vector<UtxoTransaction> UtxoMempool::select(
     std::uint64_t max_bytes) const {
   std::vector<UtxoTransaction> out;
+  const std::uint64_t smallest = min_entry_bytes();
   std::uint64_t used = 0;
   for (const auto& [key, e] : by_rate_) {
+    if (max_bytes > 0 && max_bytes - used < smallest) break;  // nothing fits
     if (max_bytes > 0 && used + e->bytes > max_bytes) continue;
     out.push_back(e->tx);
     used += e->bytes;
@@ -91,6 +94,8 @@ void UtxoMempool::drop_entry(std::unordered_map<TxId, Entry>::iterator it) {
   const Entry& entry = it->second;
   pending_bytes_ -= entry.bytes;
   by_rate_.erase(SelKey{entry.fee_rate(), entry.seq});
+  auto size = sizes_.find(entry.bytes);
+  if (--size->second == 0) sizes_.erase(size);
   for (const TxIn& in : entry.tx.inputs) claimed_.erase(in.prevout);
   pool_.erase(it);
 }

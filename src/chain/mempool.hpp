@@ -45,6 +45,11 @@ class UtxoMempool {
   /// Walks the incrementally maintained fee-rate index — no per-call sort.
   /// Equal fee rates break ties by admission order (FIFO), a canonical
   /// order the old sort-the-whole-pool implementation left unspecified.
+  /// Early exit: under a budget (max_bytes > 0) the walk stops once the
+  /// room left is below the smallest pooled entry's size — no later entry
+  /// can fit, so the result is exactly the full walk's. A block filled to
+  /// within the smallest entry ends the walk instead of scanning the rest
+  /// of the backlog. max_bytes == 0 (unlimited) walks everything.
   std::vector<UtxoTransaction> select(std::uint64_t max_bytes) const;
 
   /// Drops transactions included in a connected block, plus any pool
@@ -61,6 +66,11 @@ class UtxoMempool {
   bool contains(const TxId& id) const { return pool_.count(id) != 0; }
   std::size_t size() const { return pool_.size(); }
   std::uint64_t pending_bytes() const { return pending_bytes_; }
+  /// Serialized size of the smallest pooled entry (0 when empty): the
+  /// room below which select() stops walking.
+  std::uint64_t min_entry_bytes() const {
+    return sizes_.empty() ? 0 : sizes_.begin()->first;
+  }
 
   /// Byte-capacity fee market (0 = unlimited, the historical behaviour).
   void set_capacity(std::uint64_t bytes) { capacity_ = bytes; }
@@ -114,6 +124,9 @@ class UtxoMempool {
   // Fee-rate-ordered view of pool_ (pointees are stable: pool_ is
   // node-based), kept in sync by add/drop_entry.
   std::map<SelKey, const Entry*, SelOrder> by_rate_;
+  // Entry size -> number of pooled entries of that size; begin() is the
+  // smallest, select()'s early-exit bound. Kept in sync by add/drop_entry.
+  std::map<std::size_t, std::size_t> sizes_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t pending_bytes_ = 0;
   std::uint64_t capacity_ = 0;  // 0 = unlimited

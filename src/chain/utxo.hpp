@@ -123,14 +123,24 @@ class UtxoSet {
   std::vector<std::pair<Outpoint, TxOut>> find_owned(
       const crypto::AccountId& owner) const;
 
+  /// Default `skip` predicate of for_each_owned: visit every coin.
+  struct NeverSkip {
+    bool operator()(const Outpoint&) const { return false; }
+  };
+
   /// Visits `owner`'s coins in the same wallet-index order as find_owned,
   /// without materializing a vector. `fn(outpoint, txout)` returns false
   /// to stop early (e.g. once a coin selector has gathered enough value).
-  template <typename Fn>
-  void for_each_owned(const crypto::AccountId& owner, Fn&& fn) const {
+  /// Coins for which `skip(outpoint)` is true are passed over before the
+  /// coin map is probed (a wallet skipping its in-flight reservations
+  /// pays no lookup for them); the rest keep the index order.
+  template <typename Fn, typename Skip = NeverSkip>
+  void for_each_owned(const crypto::AccountId& owner, Fn&& fn,
+                      Skip&& skip = Skip{}) const {
     auto idx = by_owner_.find(owner);
     if (idx == by_owner_.end()) return;
     for (const Outpoint& op : idx->second) {
+      if (skip(op)) continue;
       auto it = map_.find(op);
       if (it == map_.end()) continue;  // index is kept in lockstep; defensive
       if (!fn(it->first, it->second)) return;

@@ -16,18 +16,22 @@ SubmitOutcome submit_utxo_payment(Engine& e, std::size_t from,
   const crypto::KeyPair& key = e.account(from);
 
   // Coin selection against the reference node's chainstate, skipping
-  // outpoints already committed to in-flight transactions. for_each_owned
-  // walks the same wallet-index order as find_owned but stops as soon as
-  // enough value is gathered, instead of materializing the whole wallet.
+  // outpoints already committed to in-flight transactions (before the
+  // coin-map probe: under a backlog most of a wallet is reserved).
+  // for_each_owned walks the same wallet-index order as find_owned but
+  // stops as soon as enough value is gathered, instead of materializing
+  // the whole wallet.
   std::vector<std::pair<chain::Outpoint, chain::TxOut>> selected;
   chain::Amount gathered = 0;
   node.chain().utxo_set().for_each_owned(
       key.account_id(),
       [&](const chain::Outpoint& op, const chain::TxOut& out) {
-        if (state.reserved.count(op)) return true;
         selected.emplace_back(op, out);
         gathered += out.value;
         return gathered < amount + fee;
+      },
+      [&](const chain::Outpoint& op) {
+        return state.reserved.count(op) != 0;
       });
   if (gathered < amount + fee)
     return SubmitOutcome{

@@ -2,6 +2,9 @@
 // (paper Fig. 4), orphan pool, difficulty, confirmations.
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <vector>
+
 #include "chain_test_util.hpp"
 
 namespace dlt::chain {
@@ -295,6 +298,81 @@ TEST_F(BlockchainTest, RenderTreeShowsBranches) {
   const std::string tree = chain.render_tree();
   EXPECT_NE(tree.find("h=0"), std::string::npos);
   EXPECT_NE(tree.find("h=1"), std::string::npos);
+}
+
+TEST(UtxoWallet, ForEachOwnedSkipKeepsIndexOrderAndStopsEarly) {
+  // A wallet of 64 coins (plus a bystander's): the skip predicate must
+  // drop exactly the skipped coins from the no-skip visit order, never
+  // reorder the rest, and fn returning false must still end the walk.
+  const auto keys = make_keys(2);
+  const crypto::AccountId& me = keys[0].account_id();
+  UtxoSet utxo;
+  UtxoTransaction mint;
+  for (std::uint32_t i = 0; i < 80; ++i)
+    mint.outputs.push_back(TxOut{1'000 + i, keys[i % 5 == 0 ? 1 : 0].account_id()});
+  utxo.apply_transaction(mint);
+
+  std::vector<Outpoint> all;
+  utxo.for_each_owned(me, [&](const Outpoint& op, const TxOut& out) {
+    EXPECT_EQ(out.owner, me);
+    all.push_back(op);
+    return true;
+  });
+  ASSERT_EQ(all.size(), 64u);
+  std::vector<Outpoint> listed;
+  for (const auto& [op, out] : utxo.find_owned(me)) listed.push_back(op);
+  EXPECT_EQ(all, listed);  // the default predicate skips nothing
+
+  // Skip every third coin of the visit order (a scattered set, as a
+  // wallet's in-flight reservations are).
+  std::unordered_set<Outpoint> skipped;
+  std::vector<Outpoint> want;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (i % 3 == 1) {
+      skipped.insert(all[i]);
+    } else {
+      want.push_back(all[i]);
+    }
+  }
+  const auto skip = [&](const Outpoint& op) { return skipped.count(op) != 0; };
+  std::vector<Outpoint> got;
+  utxo.for_each_owned(
+      me,
+      [&](const Outpoint& op, const TxOut&) {
+        EXPECT_EQ(skipped.count(op), 0u);
+        got.push_back(op);
+        return true;
+      },
+      skip);
+  EXPECT_EQ(got, want);
+
+  // Early stop: fn returning false after k visits ends the walk there.
+  for (const std::size_t k : {std::size_t{1}, std::size_t{5}, want.size()}) {
+    std::vector<Outpoint> prefix;
+    utxo.for_each_owned(
+        me,
+        [&](const Outpoint& op, const TxOut&) {
+          prefix.push_back(op);
+          return prefix.size() < k;
+        },
+        skip);
+    EXPECT_EQ(prefix, std::vector<Outpoint>(want.begin(), want.begin() +
+                                                static_cast<std::ptrdiff_t>(k)));
+  }
+
+  // Skipping everything visits nothing; an unknown owner never consults
+  // the predicate.
+  std::size_t visits = 0;
+  utxo.for_each_owned(
+      me, [&](const Outpoint&, const TxOut&) { return ++visits != 0; },
+      [](const Outpoint&) { return true; });
+  EXPECT_EQ(visits, 0u);
+  std::size_t probes = 0;
+  utxo.for_each_owned(
+      make_keys(1, 0x999)[0].account_id(),
+      [&](const Outpoint&, const TxOut&) { return ++visits != 0; },
+      [&](const Outpoint&) { return ++probes == 0; });
+  EXPECT_EQ(visits + probes, 0u);
 }
 
 TEST(Difficulty, RetargetMovesTowardTarget) {

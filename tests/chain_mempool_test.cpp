@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -427,6 +428,293 @@ TEST_F(MempoolDifferentialTest, UtxoSelectTracksRemovals) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i)
     EXPECT_EQ(got[i].id(), want[i].id()) << i;
+}
+
+// --- select() early exit vs the full fee-rate walk ----------------------
+
+// Random pools of mixed-size transactions (1-3 inputs, 1-3 outputs,
+// varied fees) driven through every removal path. After each step,
+// select(b) must equal a greedy scan over the whole fee-rate order
+// (select(0) walks all of it, with no early exit), and the pool's
+// smallest-entry bound must equal the smallest size actually pooled.
+class UtxoSelectEarlyExitTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kOwners = 6;
+  static constexpr std::uint32_t kCoins = 600;
+
+  UtxoSelectEarlyExitTest() : keys(make_keys(kOwners, 0x300)), rng(41) {
+    UtxoTransaction mint;
+    for (std::uint32_t i = 0; i < kCoins; ++i)
+      mint.outputs.push_back(
+          TxOut{50'000 + 1'000 * rng.uniform(100), keys[i % kOwners].account_id()});
+    utxo.apply_transaction(mint);
+    for (std::uint32_t i = 0; i < kCoins; ++i) {
+      const Outpoint op{mint.id(), i};
+      coins[i % kOwners].push_back(op);
+      value_of[op] = mint.outputs[i].value;
+      owner_of[op] = i % kOwners;
+    }
+  }
+
+  /// Spends `inputs` (all owned by one key) into `outs` outputs (0: a
+  /// random 1-3) paying `fee`.
+  UtxoTransaction make_tx(const std::vector<Outpoint>& inputs, Amount fee,
+                          std::size_t outs = 0) {
+    UtxoTransaction tx;
+    Amount total = 0;
+    for (const Outpoint& op : inputs) {
+      tx.inputs.push_back(TxIn{op, 0, {}});
+      total += value_of.at(op);
+    }
+    if (outs == 0) outs = 1 + rng.uniform(3);
+    std::vector<std::size_t> payees;
+    for (std::size_t j = 0; j < outs; ++j) {
+      const Amount share = (total - fee) / outs;
+      const Amount value = j + 1 < outs ? share : total - fee - share * j;
+      payees.push_back(rng.uniform(kOwners));
+      tx.outputs.push_back(TxOut{value, keys[payees.back()].account_id()});
+    }
+    tx.sign_all({keys[owner_of.at(inputs.front())]}, rng);
+    for (std::uint32_t j = 0; j < outs; ++j) {
+      value_of[Outpoint{tx.id(), j}] = tx.outputs[j].value;
+      owner_of[Outpoint{tx.id(), j}] = payees[j];
+    }
+    fee_of[tx.id()] = fee;
+    return tx;
+  }
+
+  /// Up to `n` unused minted coins of `owner` (by default, of a random
+  /// owner that has some left).
+  std::vector<Outpoint> take_coins(std::size_t n, std::size_t owner = kOwners) {
+    if (owner == kOwners) owner = rng.uniform(kOwners);
+    while (coins[owner].empty()) owner = (owner + 1) % kOwners;
+    std::vector<Outpoint> inputs;
+    while (inputs.size() < n && !coins[owner].empty()) {
+      inputs.push_back(coins[owner].back());
+      coins[owner].pop_back();
+    }
+    return inputs;
+  }
+
+  /// A fresh spend of 1-3 minted coins into 1-3 outputs.
+  UtxoTransaction random_tx(Amount fee) {
+    return make_tx(take_coins(1 + rng.uniform(3)), fee);
+  }
+
+  void expect_select_matches_full_walk(const char* step) {
+    SCOPED_TRACE(step);
+    const auto full = pool.select(0);
+    ASSERT_EQ(full.size(), pool.size());
+    std::uint64_t total = 0;
+    std::uint64_t smallest = ~std::uint64_t{0};
+    double last_rate = 1e300;
+    for (const UtxoTransaction& tx : full) {
+      const std::uint64_t sz = tx.serialized_size();
+      total += sz;
+      smallest = std::min(smallest, sz);
+      const double rate =
+          static_cast<double>(fee_of.at(tx.id())) / static_cast<double>(sz);
+      EXPECT_LE(rate, last_rate);  // select(0) is the full fee-rate order
+      last_rate = rate;
+    }
+    EXPECT_EQ(total, pool.pending_bytes());
+    ASSERT_EQ(pool.min_entry_bytes(), full.empty() ? 0 : smallest);
+    if (full.empty()) return;
+
+    std::vector<std::uint64_t> budgets = {
+        smallest - 1, smallest, full.front().serialized_size(),
+        full.back().serialized_size(), total / 3, total - 1, total,
+        4 * total};
+    for (int i = 0; i < 8; ++i) budgets.push_back(1 + rng.uniform(total));
+    for (const std::uint64_t budget : budgets) {
+      if (budget == 0) continue;
+      std::vector<TxId> want;
+      std::uint64_t used = 0;
+      for (const UtxoTransaction& tx : full) {
+        const std::uint64_t sz = tx.serialized_size();
+        if (used + sz > budget) continue;
+        used += sz;
+        want.push_back(tx.id());
+      }
+      std::vector<TxId> got;
+      for (const UtxoTransaction& tx : pool.select(budget))
+        got.push_back(tx.id());
+      ASSERT_EQ(got, want) << "budget " << budget;
+    }
+    // A budget below the smallest entry selects nothing; one sized
+    // exactly to the top entry selects it alone.
+    EXPECT_TRUE(pool.select(smallest - 1).empty());
+    const auto top = pool.select(full.front().serialized_size());
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].id(), full.front().id());
+  }
+
+  std::vector<crypto::KeyPair> keys;
+  Rng rng;
+  UtxoSet utxo;
+  UtxoMempool pool;
+  std::vector<Outpoint> coins[kOwners];  // unused minted coins per owner
+  std::unordered_map<Outpoint, Amount> value_of;
+  std::unordered_map<Outpoint, std::size_t> owner_of;
+  std::unordered_map<TxId, Amount> fee_of;
+};
+
+TEST_F(UtxoSelectEarlyExitTest, MatchesFullWalkThroughEveryRemovalPath) {
+  std::size_t evictions = 0;
+  pool.set_evict_handler([&](const UtxoTransaction&) { ++evictions; });
+  expect_select_matches_full_walk("empty pool");
+
+  for (int round = 0; round < 3; ++round) {
+    // Admission: mixed shapes and fee rates.
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(pool.add(random_tx(100 + rng.uniform(5'000)), utxo, 1).ok());
+      if (i % 10 == 9) expect_select_matches_full_walk("add");
+    }
+
+    // remove_included: eight pooled txs are mined, plus a block tx that
+    // spends one input of another pooled tx (the conflict path).
+    auto pooled = pool.select(0);
+    std::vector<UtxoTransaction> mined;
+    for (int i = 0; i < 8; ++i) {
+      const std::size_t k = rng.uniform(pooled.size());
+      mined.push_back(pooled[k]);
+      pooled.erase(pooled.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    const UtxoTransaction& victim = pooled[rng.uniform(pooled.size())];
+    std::vector<UtxoTransaction> block = mined;
+    block.push_back(make_tx({victim.inputs.front().prevout}, 500));
+    const std::size_t before = pool.size();
+    pool.remove_included(block);
+    EXPECT_EQ(pool.size(), before - 9);
+    EXPECT_FALSE(pool.contains(victim.id()));
+    expect_select_matches_full_walk("remove_included");
+
+    // Capacity evictions: a nearly full pool admits richer arrivals by
+    // evicting its lowest fee rates.
+    const std::size_t evicted_before = evictions;
+    pool.set_capacity(pool.pending_bytes() + 300);
+    for (int i = 0; i < 12; ++i) {
+      (void)pool.add(random_tx(2'000 + rng.uniform(20'000)), utxo, 1);
+      if (i % 4 == 3) expect_select_matches_full_walk("capacity eviction");
+    }
+    EXPECT_GT(evictions, evicted_before);
+    pool.set_capacity(0);
+
+    // Replace-by-fee cascades: parent -> child -> grandchild, then a
+    // richer conflict of the parent evicts all three.
+    pool.set_replace_by_fee(true);
+    for (int chain = 0; chain < 3; ++chain) {
+      const UtxoTransaction parent = random_tx(100 + rng.uniform(200));
+      ASSERT_TRUE(pool.add(parent, utxo, 1).ok());
+      UtxoSet view = utxo;  // sees the pooled ancestors' outputs
+      view.apply_transaction(parent);
+      const UtxoTransaction child =
+          make_tx({Outpoint{parent.id(), 0}}, 300 + rng.uniform(300));
+      ASSERT_TRUE(pool.add(child, view, 1).ok());
+      view.apply_transaction(child);
+      const UtxoTransaction grandchild =
+          make_tx({Outpoint{child.id(), 0}}, 300 + rng.uniform(300));
+      ASSERT_TRUE(pool.add(grandchild, view, 1).ok());
+      expect_select_matches_full_walk("rbf chain built");
+
+      const std::size_t cascade_before = evictions;
+      const UtxoTransaction replacement =
+          make_tx({parent.inputs.front().prevout}, 30'000);
+      ASSERT_TRUE(pool.add(replacement, utxo, 1).ok());
+      EXPECT_EQ(evictions, cascade_before + 3);
+      EXPECT_FALSE(pool.contains(parent.id()));
+      EXPECT_FALSE(pool.contains(child.id()));
+      EXPECT_FALSE(pool.contains(grandchild.id()));
+      expect_select_matches_full_walk("rbf cascade");
+      // The displaced parent cannot come back: it now loses to the
+      // replacement (best-effort reinject drops it silently).
+      pool.reinject({parent}, utxo, 1);
+      EXPECT_FALSE(pool.contains(parent.id()));
+    }
+    pool.set_replace_by_fee(false);
+
+    // reinject: the mined txs return from an orphaned block.
+    pool.reinject(mined, utxo, 1);
+    for (const UtxoTransaction& tx : mined) EXPECT_TRUE(pool.contains(tx.id()));
+    expect_select_matches_full_walk("reinject");
+  }
+
+  // Mining the whole pool leaves no bound behind.
+  pool.remove_included(pool.select(0));
+  EXPECT_EQ(pool.size(), 0u);
+  expect_select_matches_full_walk("drained");
+}
+
+TEST_F(UtxoSelectEarlyExitTest, BoundFollowsEachRemovalOfTheSmallestEntry) {
+  // Each removal path in turn drops the pool's only smallest entry (one
+  // input, one output, the worst fee rate) from beside larger ones (three
+  // inputs, three outputs); the early-exit bound must rise with it.
+  const auto small = [&](Amount fee) { return make_tx(take_coins(1), fee, 1); };
+  const auto big = [&](Amount fee) { return make_tx(take_coins(3), fee, 3); };
+  std::size_t evictions = 0;
+  pool.set_evict_handler([&](const UtxoTransaction&) { ++evictions; });
+  ASSERT_TRUE(pool.add(big(5'000), utxo, 1).ok());
+  ASSERT_TRUE(pool.add(big(6'000), utxo, 1).ok());
+  const std::uint64_t big_bytes = pool.min_entry_bytes();
+
+  const auto expect_small_then_gone = [&](const UtxoTransaction& tx,
+                                          const char* path) {
+    SCOPED_TRACE(path);
+    EXPECT_LT(tx.serialized_size(), big_bytes);
+    EXPECT_FALSE(pool.contains(tx.id()));
+    EXPECT_EQ(pool.min_entry_bytes(), big_bytes);
+    expect_select_matches_full_walk(path);
+  };
+  const auto owner = [&](const UtxoTransaction& t) {
+    return owner_of.at(t.inputs.front().prevout);
+  };
+
+  // remove_included: the entry itself is mined.
+  UtxoTransaction tx = small(100);
+  ASSERT_TRUE(pool.add(tx, utxo, 1).ok());
+  EXPECT_EQ(pool.min_entry_bytes(), tx.serialized_size());
+  pool.remove_included({tx});
+  expect_small_then_gone(tx, "mined");
+
+  // remove_included: a block tx spends its input (conflict).
+  tx = small(100);
+  ASSERT_TRUE(pool.add(tx, utxo, 1).ok());
+  pool.remove_included({make_tx({tx.inputs.front().prevout}, 500, 1)});
+  expect_small_then_gone(tx, "mined conflict");
+
+  // Capacity eviction: room for a rich big tx needs exactly its bytes.
+  tx = small(100);
+  ASSERT_TRUE(pool.add(tx, utxo, 1).ok());
+  pool.set_capacity(pool.pending_bytes() + big_bytes - tx.serialized_size());
+  ASSERT_TRUE(pool.add(big(40'000), utxo, 1).ok());  // sizes follow shape
+  EXPECT_EQ(evictions, 1u);
+  expect_small_then_gone(tx, "capacity eviction");
+  pool.set_capacity(0);
+
+  // Replace-by-fee: a richer big tx spends the same coin.
+  pool.set_replace_by_fee(true);
+  tx = small(100);
+  ASSERT_TRUE(pool.add(tx, utxo, 1).ok());
+  std::vector<Outpoint> inputs = take_coins(2, owner(tx));
+  inputs.insert(inputs.begin(), tx.inputs.front().prevout);
+  ASSERT_TRUE(pool.add(make_tx(inputs, 40'000, 3), utxo, 1).ok());
+  EXPECT_EQ(evictions, 2u);
+  expect_small_then_gone(tx, "replacement");
+
+  // Replace-by-fee cascade: the small entry is a pooled child.
+  const UtxoTransaction parent = big(200);
+  ASSERT_TRUE(pool.add(parent, utxo, 1).ok());
+  UtxoSet view = utxo;
+  view.apply_transaction(parent);
+  tx = make_tx({Outpoint{parent.id(), 0}}, 100, 1);
+  ASSERT_TRUE(pool.add(tx, view, 1).ok());
+  EXPECT_EQ(pool.min_entry_bytes(), tx.serialized_size());
+  std::vector<Outpoint> rival;
+  for (const TxIn& in : parent.inputs) rival.push_back(in.prevout);
+  ASSERT_TRUE(pool.add(make_tx(rival, 60'000, 3), utxo, 1).ok());
+  EXPECT_EQ(evictions, 4u);
+  EXPECT_FALSE(pool.contains(parent.id()));
+  expect_small_then_gone(tx, "replacement cascade");
 }
 
 TEST_F(AccountMempoolTest, SelectMatchesReferenceScan) {

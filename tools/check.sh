@@ -11,6 +11,7 @@
 #   tools/check.sh --attacks      # tier-1 + adversarial-suite safety gate
 #   tools/check.sh --storage      # tier-1 + §V on-disk ledger-size gate
 #   tools/check.sh --traffic      # tier-1 + E20 open-loop admission gate
+#   tools/check.sh --ledgerbench  # tier-1 + short benchmark runs, all workloads
 #
 # Flags combine: `tools/check.sh --determinism --tsan` runs the tier-1
 # suite once, then both extra passes in one invocation. Any extra flag
@@ -53,6 +54,12 @@
 # top point per ledger is past saturation (offered > achieved) with
 # admission pressure (evictions or backpressure), and every fee class
 # has a non-empty latency histogram there.
+# --ledgerbench runs ledgerbench/run.py for 4 s on every workload that
+# BENCHMARK.json lists, untraced (--trace 0) and traced (--trace 1), and
+# fails on any result with correct: false or failed > 0, printing the
+# runner's info.problems. correct: false covers the runner's own checks,
+# the traced submit + connect layer-share floor among them. It builds into
+# $CARGO_TARGET_DIR (default .bench_build/) and writes nothing else.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -66,6 +73,7 @@ LATENCY=0
 ATTACKS=0
 STORAGE=0
 TRAFFIC=0
+LEDGERBENCH=0
 for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
@@ -76,8 +84,9 @@ for arg in "$@"; do
     --attacks) FAST=1; ATTACKS=1 ;;
     --storage) FAST=1; STORAGE=1 ;;
     --traffic) FAST=1; TRAFFIC=1 ;;
+    --ledgerbench) FAST=1; LEDGERBENCH=1 ;;
     *)
-      echo "usage: tools/check.sh [--fast] [--determinism] [--tsan] [--perf] [--latency] [--attacks] [--storage] [--traffic]" >&2
+      echo "usage: tools/check.sh [--fast] [--determinism] [--tsan] [--perf] [--latency] [--attacks] [--storage] [--traffic] [--ledgerbench]" >&2
       exit 2
       ;;
   esac
@@ -338,6 +347,41 @@ EOF
     echo "FAIL: bench_diff did not flag the confirmed-count drop" >&2; exit 1; }
   rm -rf "$latdir"
   echo "=== [latency] OK ==="
+fi
+
+if [[ "$LEDGERBENCH" == "1" ]]; then
+  lbdir="$(mktemp -d)"
+  lb_failed=0
+  for workload in $(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    for trace in 0 1; do
+      echo "=== [ledgerbench] $workload --trace $trace ==="
+      out="$lbdir/$workload-$trace.txt"
+      if ! python3 ledgerbench/run.py --workload "$workload" --seed 1 \
+          --seconds 4 --trace "$trace" > "$out"; then
+        echo "FAIL: ledgerbench/run.py exited nonzero on $workload" >&2
+        lb_failed=1
+        continue
+      fi
+      python3 - "$out" <<'EOF' || lb_failed=1
+import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+info = json.loads(lines[-2])["info"]
+result = json.loads(lines[-1])
+share = info["layer_share"]
+print(f"correct {result['correct']}, failed {result['failed']}, "
+      f"attempted {result['attempted']}"
+      + (f", layer share {share:.3f}" if share is not None else ""))
+for problem in info["problems"]:
+    print(f"  problem: {problem}")
+if not result["correct"] or result["failed"] > 0:
+    sys.exit("FAIL: benchmark result is not correct: true with failed: 0")
+EOF
+    done
+  done
+  rm -rf "$lbdir"
+  [[ "$lb_failed" == "0" ]] || exit 1
+  echo "=== [ledgerbench] OK ==="
 fi
 
 if [[ "$TSAN" == "1" ]]; then
