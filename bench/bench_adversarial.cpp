@@ -43,7 +43,6 @@ constexpr double kTangleTail = 8.0;       // attack release + settling
 TangleClusterConfig tangle_config(tangle::TipStrategy strategy,
                                   const std::string& trace_path) {
   TangleClusterConfig cfg;
-  apply_env_crypto(cfg.crypto);  // DLT_VERIFY_THREADS (determinism gate)
   storage::apply_env_storage(cfg.storage);  // DLT_STORAGE (disk legs)
   cfg.obs.trace_capacity = obs::trace_capacity_from_env();
   // DLT_TRACE_SINK streams the reference run write-through (ring optional).
@@ -151,7 +150,6 @@ SelfishScenario run_selfish(double power) {
   cfg.params.retarget_window = 0;
   cfg.params.block_interval = 5.0;
   cfg.params.initial_difficulty = 1e6;
-  apply_env_crypto(cfg.crypto);
   storage::apply_env_storage(cfg.storage);
   cfg.obs.trace_capacity = obs::trace_capacity_from_env();
   cfg.node_count = 4;

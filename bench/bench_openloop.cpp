@@ -18,8 +18,8 @@
 //
 // Determinism contract: every figure in BENCH_openloop.json is sim-time
 // arithmetic from the dedicated traffic RNG stream, so the determinism
-// gate diffs the report byte-for-byte across DLT_VERIFY_THREADS,
-// DLT_PARALLEL_STATE and DLT_STORAGE settings.
+// gate diffs the report byte-for-byte across same-seed reruns and
+// DLT_STORAGE settings.
 //
 // Gates (exit non-zero on violation):
 //   - admission tallies reconcile on every row
@@ -159,7 +159,6 @@ Row run_chain(double rate, const std::string& trace_path = {}) {
 
   ChainClusterConfig cfg;
   cfg.params = params;
-  apply_env_crypto(cfg.crypto);             // DLT_VERIFY_THREADS
   storage::apply_env_storage(cfg.storage);  // DLT_STORAGE
   cfg.obs.trace_capacity = obs::trace_capacity_from_env();
   if (!trace_path.empty()) cfg.obs.trace_sink = obs::trace_sink_from_env();
@@ -192,7 +191,6 @@ Row run_lattice(double rate) {
   cfg.account_count = kAccounts;
   cfg.initial_balance = 50'000'000;
   cfg.params.work_bits = 2;
-  apply_env_crypto(cfg.crypto);
   storage::apply_env_storage(cfg.storage);
   cfg.obs.trace_capacity = obs::trace_capacity_from_env();
   cfg.seed = 23;
@@ -211,7 +209,6 @@ Row run_tangle(double rate) {
   cfg.node_count = 4;
   cfg.account_count = kAccounts;
   cfg.params.work_bits = 2;
-  apply_env_crypto(cfg.crypto);
   storage::apply_env_storage(cfg.storage);
   cfg.obs.trace_capacity = obs::trace_capacity_from_env();
   cfg.seed = 23;

@@ -40,7 +40,6 @@ struct DagRun {
 DagRun run(double offered_tps, double bandwidth, int work_bits,
            const std::string& trace_path = {}) {
   LatticeClusterConfig cfg;
-  apply_env_crypto(cfg.crypto);  // DLT_VERIFY_THREADS (determinism gate)
   storage::apply_env_storage(cfg.storage);  // DLT_STORAGE (disk legs)
   cfg.obs.trace_capacity = obs::trace_capacity_from_env();
   // DLT_TRACE_SINK streams the reference run write-through (ring optional).

@@ -48,15 +48,24 @@ WorldState WorldState::with_account(const crypto::AccountId& id,
 
 Result<WorldState> WorldState::apply_transaction(
     const AccountTransaction& tx, const crypto::AccountId& fee_recipient,
-    const GasSchedule& gs, crypto::SignatureCache* sigcache,
-    const TxVerdict* verdict) const {
-  auto checked = check_account_transaction(
-      [this](const crypto::AccountId& id) { return get(id); }, tx, gs,
-      sigcache, verdict);
-  if (!checked) return checked.error();
-  const Amount fee = *checked;
+    const GasSchedule& gs, crypto::SignatureCache* sigcache) const {
+  if (!tx.verify_signature(sigcache)) return make_error("bad-signature");
 
-  AccountState new_sender = *get(tx.from);
+  const std::optional<AccountState> sender = get(tx.from);
+  if (!sender) return make_error("unknown-sender", "no such account");
+  if (sender->nonce != tx.nonce)
+    return make_error("bad-nonce", "expected nonce mismatch");
+
+  const std::uint64_t gas = tx.gas_used(gs);
+  if (gas > tx.gas_limit)
+    return make_error("out-of-gas", "intrinsic gas exceeds limit");
+  const Amount max_cost = tx.value + tx.max_fee();
+  if (sender->balance < max_cost)
+    return make_error("insufficient-balance");
+  // Unused gas is refunded: only the gas actually used is charged.
+  const auto fee = static_cast<Amount>(gas * tx.gas_price);
+
+  AccountState new_sender = *sender;
   new_sender.balance -= tx.value + fee;
   new_sender.nonce += 1;
   WorldState next = with_account(tx.from, new_sender);

@@ -13,10 +13,46 @@ std::optional<TxOut> UtxoSet::get(const Outpoint& op) const {
 
 Result<Amount> UtxoSet::check_transaction(
     const UtxoTransaction& tx, std::uint32_t height,
-    crypto::SignatureCache* sigcache, const TxVerdict* verdict) const {
-  return check_utxo_transaction(
-      [this](const Outpoint& op) { return get(op); }, tx, height, sigcache,
-      verdict);
+    crypto::SignatureCache* sigcache) const {
+  if (tx.lock_height > height)
+    return make_error("premature", "lock_height above current height");
+  if (tx.is_coinbase())
+    return make_error("unexpected-coinbase",
+                      "coinbase checked at block level");
+  if (tx.outputs.empty()) return make_error("no-outputs");
+
+  const Hash256 digest = tx.sighash();
+  Amount in_sum = 0;
+  // Duplicate-input detection: the common case is a handful of inputs, so
+  // scan the preceding ones linearly (no allocation). Fall back to a hash
+  // set only for wide fan-in, keeping adversarial many-input txs O(n).
+  constexpr std::size_t kLinearScanMax = 16;
+  std::unordered_set<Outpoint> seen;
+  if (tx.inputs.size() > kLinearScanMax) seen.reserve(tx.inputs.size());
+  for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
+    const TxIn& in = tx.inputs[i];
+    if (tx.inputs.size() <= kLinearScanMax) {
+      for (std::size_t j = 0; j < i; ++j)
+        if (tx.inputs[j].prevout == in.prevout)
+          return make_error("double-spend", "duplicate input within tx");
+    } else if (!seen.insert(in.prevout).second) {
+      return make_error("double-spend", "duplicate input within tx");
+    }
+
+    const std::optional<TxOut> prev = get(in.prevout);
+    if (!prev)
+      return make_error("missing-utxo", "input not in UTXO set");
+    if (crypto::account_of(in.pubkey) != prev->owner)
+      return make_error("wrong-owner", "pubkey does not own prevout");
+    if (!crypto::verify_cached(sigcache, in.pubkey, digest, in.signature))
+      return make_error("bad-signature");
+    in_sum += prev->value;
+  }
+
+  const Amount out_sum = tx.total_output();
+  if (out_sum > in_sum)
+    return make_error("inflation", "outputs exceed inputs");
+  return in_sum - out_sum;  // fee
 }
 
 TxUndo UtxoSet::apply_transaction(const UtxoTransaction& tx) {

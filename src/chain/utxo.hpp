@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "chain/transaction.hpp"
-#include "chain/validation.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sigcache.hpp"
 #include "support/result.hpp"
@@ -32,64 +31,6 @@ struct BlockUndo {
   std::vector<TxUndo> txs;  // in block order
 };
 
-/// The single definition of UTXO transaction validity, parameterized over
-/// the coin view so the serial path (UtxoSet::check_transaction, lookup =
-/// the live set) and the sharded stateful pipeline (lookup = frozen set +
-/// group overlay) cannot diverge: same checks, same error codes, in the
-/// same order. `lookup(outpoint)` returns std::optional<TxOut>.
-template <typename Lookup>
-Result<Amount> check_utxo_transaction(const Lookup& lookup,
-                                      const UtxoTransaction& tx,
-                                      std::uint32_t height,
-                                      crypto::SignatureCache* sigcache,
-                                      const TxVerdict* verdict) {
-  if (tx.lock_height > height)
-    return make_error("premature", "lock_height above current height");
-  if (tx.is_coinbase())
-    return make_error("unexpected-coinbase",
-                      "coinbase checked at block level");
-  if (tx.outputs.empty()) return make_error("no-outputs");
-
-  const Hash256 digest = tx.sighash();
-  Amount in_sum = 0;
-  // Duplicate-input detection: the common case is a handful of inputs, so
-  // scan the preceding ones linearly (no allocation). Fall back to a hash
-  // set only for wide fan-in, keeping adversarial many-input txs O(n).
-  constexpr std::size_t kLinearScanMax = 16;
-  std::unordered_set<Outpoint> seen;
-  if (tx.inputs.size() > kLinearScanMax) seen.reserve(tx.inputs.size());
-  for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
-    const TxIn& in = tx.inputs[i];
-    if (tx.inputs.size() <= kLinearScanMax) {
-      for (std::size_t j = 0; j < i; ++j)
-        if (tx.inputs[j].prevout == in.prevout)
-          return make_error("double-spend", "duplicate input within tx");
-    } else if (!seen.insert(in.prevout).second) {
-      return make_error("double-spend", "duplicate input within tx");
-    }
-
-    const std::optional<TxOut> prev = lookup(in.prevout);
-    if (!prev)
-      return make_error("missing-utxo", "input not in UTXO set");
-    const InputVerdict* iv =
-        verdict && i < verdict->inputs.size() ? &verdict->inputs[i] : nullptr;
-    const crypto::AccountId signer =
-        iv ? iv->signer : crypto::account_of(in.pubkey);
-    if (signer != prev->owner)
-      return make_error("wrong-owner", "pubkey does not own prevout");
-    const bool sig_ok =
-        iv ? iv->sig_ok
-           : crypto::verify_cached(sigcache, in.pubkey, digest, in.signature);
-    if (!sig_ok) return make_error("bad-signature");
-    in_sum += prev->value;
-  }
-
-  const Amount out_sum = tx.total_output();
-  if (out_sum > in_sum)
-    return make_error("inflation", "outputs exceed inputs");
-  return in_sum - out_sum;  // fee
-}
-
 class UtxoSet {
  public:
   std::size_t size() const { return map_.size(); }
@@ -101,14 +42,9 @@ class UtxoSet {
   /// inputs exist, signatures valid, owners match, no value inflation,
   /// lock height respected. Returns the fee (inputs - outputs). A shared
   /// crypto::SignatureCache skips repeat input-signature verifications.
-  /// When `verdict` is given (parallel pipeline), signer derivation and
-  /// signature checks are read from its pre-computed slots instead of
-  /// being recomputed; both are pure, so errors land at the same input
-  /// as the inline serial path.
   Result<Amount> check_transaction(
       const UtxoTransaction& tx, std::uint32_t height,
-      crypto::SignatureCache* sigcache = nullptr,
-      const TxVerdict* verdict = nullptr) const;
+      crypto::SignatureCache* sigcache = nullptr) const;
 
   /// Applies an already-checked transaction; returns its undo record.
   TxUndo apply_transaction(const UtxoTransaction& tx);

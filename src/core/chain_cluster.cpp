@@ -163,14 +163,6 @@ void ChainTraits::build_nodes(Engine& e) {
       nc.solve_pow = config.params.verify_pow;
     }
     nc.sigcache = crypto.sigcache;
-    // Batch verification stages results in a sigcache; give each node a
-    // private one if the cluster-wide cache is disabled.
-    if (crypto.verify_pool && !nc.sigcache)
-      nc.sigcache = std::make_shared<crypto::SignatureCache>(
-          config.crypto.sigcache_capacity);
-    nc.verify_pool = crypto.verify_pool;
-    nc.parallel_validation = config.crypto.parallel_validation;
-    nc.parallel_state = config.crypto.parallel_state;
     nc.probe = e.node_probe(i);
     nc.lifecycle = e.lifecycle_tracker();
     if (config.traffic.enabled) {
@@ -265,16 +257,6 @@ void ChainTraits::submit_traffic(Engine& e, const TrafficEvent& ev) {
     ++adm.rejected;
     e.rejected_counter().inc();
   }
-}
-
-void ChainTraits::set_parallel_validation(Engine& e, bool on) {
-  for (std::size_t i = 0; i < e.node_count(); ++i)
-    e.node(i).chain().set_parallel_validation(on);
-}
-
-void ChainTraits::set_parallel_state(Engine& e, bool on) {
-  for (std::size_t i = 0; i < e.node_count(); ++i)
-    e.node(i).chain().set_parallel_state(on);
 }
 
 void ChainTraits::fill_metrics(const Engine& e, RunMetrics& m) {

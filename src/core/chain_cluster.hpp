@@ -90,8 +90,6 @@ struct ChainTraits {
                                       Amount amount);
   static void submit_traffic(ClusterEngine<ChainTraits>& e,
                              const TrafficEvent& ev);
-  static void set_parallel_validation(ClusterEngine<ChainTraits>& e, bool on);
-  static void set_parallel_state(ClusterEngine<ChainTraits>& e, bool on);
   static void fill_metrics(const ClusterEngine<ChainTraits>& e,
                            RunMetrics& m);
   static bool converged(const ClusterEngine<ChainTraits>& e);

@@ -1,90 +1,20 @@
 #include "core/cluster_common.hpp"
 
-#include <cstdlib>
-#include <cstring>
-#include <optional>
-
-#include "support/log.hpp"
+#include <stdexcept>
 
 namespace dlt::core {
 
 ClusterCrypto make_cluster_crypto(const CryptoConfig& config) {
+  if (config.verify_threads != 0 || config.parallel_validation ||
+      config.parallel_state)
+    throw std::invalid_argument(
+        "CryptoConfig: verify_threads, parallel_validation and "
+        "parallel_state are retired and must stay 0/false");
   ClusterCrypto out;
   if (config.shared_sigcache)
     out.sigcache =
         std::make_shared<crypto::SignatureCache>(config.sigcache_capacity);
-  // A 1-thread pool runs parallel_for inline; only build one when the
-  // pipeline asked for it, so prefetch-era configs keep their exact
-  // pool-or-not behavior.
-  if (config.verify_threads > 1 ||
-      ((config.parallel_validation || config.parallel_state) &&
-       config.verify_threads == 1))
-    out.verify_pool =
-        std::make_shared<support::ThreadPool>(config.verify_threads);
   return out;
-}
-
-namespace {
-
-/// "1"/"true"/"on"/"yes" → true, "0"/"false"/"off"/"no" → false,
-/// anything else → nullopt (ignored, like an invalid DLT_VERIFY_THREADS).
-std::optional<bool> parse_bool_env(const char* s) {
-  if (!std::strcmp(s, "1") || !std::strcmp(s, "true") ||
-      !std::strcmp(s, "on") || !std::strcmp(s, "yes"))
-    return true;
-  if (!std::strcmp(s, "0") || !std::strcmp(s, "false") ||
-      !std::strcmp(s, "off") || !std::strcmp(s, "no"))
-    return false;
-  return std::nullopt;
-}
-
-}  // namespace
-
-void apply_env_crypto(CryptoConfig& config) {
-  bool overridden = false;
-
-  const char* threads_env = std::getenv("DLT_VERIFY_THREADS");
-  if (threads_env && *threads_env != '\0') {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(threads_env, &end, 10);
-    if (end != threads_env && *end == '\0' && v > 0) {
-      config.verify_threads = static_cast<std::size_t>(v);
-      // A single worker runs the sharded pipeline inline; N=1 used to be
-      // silently ignored here, leaving the prefetch-only path.
-      config.parallel_validation = true;
-      overridden = true;
-    }
-  }
-
-  const char* pipeline_env = std::getenv("DLT_PARALLEL_VALIDATION");
-  if (pipeline_env && *pipeline_env != '\0') {
-    if (const std::optional<bool> on = parse_bool_env(pipeline_env)) {
-      config.parallel_validation = *on;
-      // The pipeline needs a pool to shard onto.
-      if (*on && config.verify_threads == 0) config.verify_threads = 1;
-      overridden = true;
-    }
-  }
-
-  const char* state_env = std::getenv("DLT_PARALLEL_STATE");
-  if (state_env && *state_env != '\0') {
-    if (const std::optional<bool> on = parse_bool_env(state_env)) {
-      config.parallel_state = *on;
-      // The sharded stateful phase needs a pool to run groups on.
-      if (*on && config.verify_threads == 0) config.verify_threads = 1;
-      overridden = true;
-    }
-  }
-
-  if (overridden) {
-    DLT_LOG_INFO("crypto env override: verify_threads=%zu "
-                 "parallel_validation=%s parallel_state=%s "
-                 "shared_sigcache=%s",
-                 config.verify_threads,
-                 config.parallel_validation ? "on" : "off",
-                 config.parallel_state ? "on" : "off",
-                 config.shared_sigcache ? "on" : "off");
-  }
 }
 
 void ClusterObs::capture_sim(const sim::Simulation& sim) {

@@ -1,7 +1,6 @@
-// Wiring shared by ChainCluster and LatticeCluster: network topology
-// construction, the deterministic workload-account key schedule, and the
-// crypto hot-path handles (shared sigcache + batch-verification pool) that
-// both cluster kinds thread through their nodes.
+// Wiring shared by the cluster kinds: network topology construction, the
+// deterministic workload-account key schedule, and the crypto hot-path
+// handle (the shared sigcache) that every cluster threads through its nodes.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +16,6 @@
 #include "obs/probe.hpp"
 #include "obs/trace.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace dlt::core {
 
@@ -30,46 +28,25 @@ struct CryptoConfig {
   /// Disable for attack experiments that want per-node verification cost.
   bool shared_sigcache = true;
   std::size_t sigcache_capacity = 1u << 18;
-  /// Total threads for batch signature verification during block connect
-  /// (0 = serial; 1 = a pool that runs inline, useful for differential
-  /// tests). Results join in index order, so RunMetrics and converged tips
-  /// are bit-identical to a serial run on the same seed.
+  /// Retired knobs of the removed threaded validation and state-apply
+  /// pipelines. Block connect, lattice processing and tangle attach each
+  /// have one serial path now, so nothing reads these fields. They stay
+  /// declared only because ledgerbench/ledgerbench.cpp still assigns them;
+  /// the next change to the benchmark deletes them together with those
+  /// assignments. make_cluster_crypto() rejects any value but 0 / false.
   std::size_t verify_threads = 0;
-  /// Run the full sharded validation pipeline (stateless checks across
-  /// the pool, verdicts consumed by the serial apply phase) instead of the
-  /// prefetch-only reference. Needs verify_threads >= 1.
   bool parallel_validation = false;
-  /// Shard the *stateful* apply phase too: transactions are partitioned
-  /// into disjoint conflict groups (core/partition.hpp) that are checked
-  /// concurrently against a frozen snapshot, then committed serially in
-  /// tx order; conflicting batches demote to the serial reference path.
-  /// Needs verify_threads >= 1. Off by default; either setting yields
-  /// byte-identical traces, metrics and ledger state for a given seed.
   bool parallel_state = false;
 };
-
-/// Applies the environment overrides used by benches and the determinism
-/// gate, logging the resolved config (DLT_LOG_INFO) whenever any override
-/// was present:
-///  - DLT_VERIFY_THREADS=N (N > 0): sets verify_threads AND turns on the
-///    sharded pipeline — a single worker runs it inline. (Historically N=1
-///    silently kept the prefetch-only path; simulation output is
-///    byte-identical either way, so the pipeline is now the env default.)
-///  - DLT_PARALLEL_VALIDATION=1/true/on|0/false/off: explicit pipeline
-///    override, applied after DLT_VERIFY_THREADS. Enabling it with
-///    verify_threads still 0 bumps verify_threads to 1 so the pool exists.
-///  - DLT_PARALLEL_STATE=1/true/on|0/false/off: toggles the sharded
-///    state-application pipeline (conflict-group apply). Enabling it with
-///    verify_threads still 0 bumps verify_threads to 1 so the pool exists.
-/// Unset/invalid values leave `config` untouched.
-void apply_env_crypto(CryptoConfig& config);
 
 /// Instantiated handles a cluster hands to each of its nodes.
 struct ClusterCrypto {
   std::shared_ptr<crypto::SignatureCache> sigcache;
-  std::shared_ptr<support::ThreadPool> verify_pool;
 };
 
+/// Builds the cluster's crypto handles. Throws std::invalid_argument if a
+/// retired pipeline knob (verify_threads, parallel_validation,
+/// parallel_state) is set.
 ClusterCrypto make_cluster_crypto(const CryptoConfig& config);
 
 /// Observability knobs common to both cluster kinds. The registry is

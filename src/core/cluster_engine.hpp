@@ -2,7 +2,7 @@
 //
 // ChainCluster, LatticeCluster and TangleCluster used to duplicate the
 // simulation loop, topology construction, workload scheduling, crypto
-// wiring (shared sigcache + verify pool), observability plumbing and
+// wiring (shared sigcache), observability plumbing and
 // RunMetrics assembly. ClusterEngine<Traits> owns all of that once; a
 // LedgerTraits type supplies only the ledger-specific policy — node
 // construction, payment submission, metric extraction and the convergence
@@ -72,8 +72,6 @@ struct SubmitOutcome {
 ///                  // open-loop arrival → admission pipeline (ISSUE 10):
 ///                  // classify into engine.admission() and stamp the
 ///                  // lifecycle tracker with the arrival's fee class
-///   static void set_parallel_validation(ClusterEngine&, bool);
-///   static void set_parallel_state(ClusterEngine&, bool);
 ///   static void fill_metrics(const ClusterEngine&, RunMetrics&);
 ///   static bool converged(const ClusterEngine&);
 ///
@@ -190,17 +188,6 @@ class ClusterEngine {
 
   /// Runs the simulation for `seconds` of simulated time.
   void run_for(double seconds) { sim_.run_until(sim_.now() + seconds); }
-
-  /// Toggles the sharded validation pipeline on every node (no-op per node
-  /// without a verify pool). Safe mid-run: either mode yields
-  /// byte-identical simulation output for a given seed.
-  void set_parallel_validation(bool on) {
-    Traits::set_parallel_validation(*this, on);
-  }
-
-  /// Toggles the sharded stateful-apply pipeline on every node's ledger
-  /// (Traits::set_parallel_state). Byte-identical output either way.
-  void set_parallel_state(bool on) { Traits::set_parallel_state(*this, on); }
 
   /// Snapshot of aggregated metrics (reference view: node 0). The engine
   /// fills the ledger-independent fields; Traits::fill_metrics the rest.

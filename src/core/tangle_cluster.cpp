@@ -130,12 +130,8 @@ std::string TangleTraits::system_name(const Config&) { return "iota-like"; }
 
 void TangleTraits::build_nodes(Engine& e) {
   const Config& config = e.config();
-  const ClusterCrypto& crypto = e.crypto_handles();
   for (std::size_t i = 0; i < config.node_count; ++i) {
     tangle::TangleNodeConfig nc;
-    nc.verify_pool = crypto.verify_pool;
-    nc.parallel_validation = config.crypto.parallel_validation;
-    nc.parallel_state = config.crypto.parallel_state;
     nc.probe = e.node_probe(i);
     nc.lifecycle = e.lifecycle_tracker();
     nc.lifecycle_observer = (i == 0);
@@ -212,16 +208,6 @@ void TangleTraits::submit_traffic(Engine& e, const TrafficEvent& ev) {
   }
   ++adm.admitted;
   arm_drain(e, issuer);
-}
-
-void TangleTraits::set_parallel_validation(Engine& e, bool on) {
-  for (std::size_t i = 0; i < e.node_count(); ++i)
-    e.node(i).tangle().set_parallel_validation(on);
-}
-
-void TangleTraits::set_parallel_state(Engine& e, bool on) {
-  for (std::size_t i = 0; i < e.node_count(); ++i)
-    e.node(i).tangle().set_parallel_state(on);
 }
 
 void TangleTraits::fill_metrics(const Engine& e, RunMetrics& m) {

@@ -56,9 +56,8 @@ class KeyPair {
 /// Verifies `sig` over `message` under `public_key`.
 bool verify(std::uint64_t public_key, ByteView message, const Signature& sig);
 
-/// Account id of a bare public key. Memoized per thread in a bounded LRU
-/// (workers in the parallel-validation pipeline each warm their own), so
-/// it is safe to call from any thread; gated on DigestCache::enabled().
+/// Account id of a bare public key. Memoized per thread in a bounded LRU,
+/// so it is safe to call from any thread; gated on DigestCache::enabled().
 AccountId account_of(std::uint64_t public_key);
 
 /// Counters of the calling thread's account_of LRU. Monotonic until

@@ -44,8 +44,7 @@ class SignatureCache {
   bool contains(std::uint64_t pubkey, const Hash256& sighash,
                 const Signature& sig);
 
-  /// Lookup without touching stats; used by batch prefetch so each check
-  /// is counted exactly once whether verification runs serially or not.
+  /// Lookup without touching stats (contains() counts on top of it).
   bool peek(std::uint64_t pubkey, const Hash256& sighash,
             const Signature& sig) const;
 

@@ -1,10 +1,7 @@
 #include "lattice/ledger.hpp"
 
 #include <cassert>
-#include <unordered_set>
 
-#include "core/partition.hpp"
-#include "obs/profile.hpp"
 #include "support/serialize.hpp"
 
 namespace dlt::lattice {
@@ -86,72 +83,76 @@ std::optional<LatticeBlock> Ledger::block_at_root(const Root& root) const {
   return *succ;
 }
 
-Ledger::StatelessVerdict Ledger::compute_verdict(
-    const LatticeBlock& block) const {
-  // Collect, on the simulation thread: memoize the content hash, derive
-  // the signer (thread-local memo) and probe the sigcache in the same
-  // order the serial path would.
-  const BlockHash hash = block.hash();
-  const bool owner_ok = crypto::account_of(block.pubkey) == block.account;
-  const bool cached =
-      owner_ok && sigcache_ &&
-      sigcache_->contains(block.pubkey, hash, block.signature);
+Status Ledger::validate(const LatticeBlock& block) const {
+  if (!block.verify_signature(sigcache_.get()))
+    return make_error("bad-signature");
+  if (params_.verify_work && !block.verify_work(params_.work_bits))
+    return make_error("insufficient-work",
+                      "anti-spam hashcash below threshold");
 
-  enum : std::size_t { kSig = 0, kWork = 1 };
-  std::size_t kinds[2];
-  std::size_t n = 0;
-  if (owner_ok && !cached) kinds[n++] = kSig;
-  if (params_.verify_work) kinds[n++] = kWork;
-  pv_.record_batch(n, verify_pool_->thread_count());
+  const AccountInfo* info = account(block.account);
+  const LatticeBlock* head = info ? &info->head() : nullptr;
+  const auto pending_send =
+      [this](const BlockHash& link) -> const PendingInfo* {
+    auto it = pending_.find(link);
+    return it == pending_.end() ? nullptr : &it->second;
+  };
 
-  // Shard: only pure functions, each job writing its own slot.
-  std::uint8_t ok[2] = {0, 0};
-  if (n > 0) {
-    obs::ProfileTimer timer(pv_.join_us);
-    verify_pool_->parallel_for(n, [&](std::size_t k) {
-      if (kinds[k] == kSig)
-        ok[kSig] =
-            crypto::verify(block.pubkey, hash.view(), block.signature) ? 1 : 0;
-      else
-        ok[kWork] = block.verify_work(params_.work_bits) ? 1 : 0;
-    });
+  if (block.type == BlockType::kOpen) {
+    if (!block.previous.is_zero())
+      return make_error("malformed", "open block with a predecessor");
+    if (head) return make_error("fork", "account already opened");
+    const PendingInfo* pend = pending_send(block.link);
+    if (!pend) {
+      // Distinguish a never-seen source from an already-claimed one.
+      if (claimed_.count(block.link)) return make_error("already-claimed");
+      return make_error("gap-source", "unknown source send");
+    }
+    if (!(pend->destination == block.account))
+      return make_error("wrong-destination");
+    if (block.balance != pend->amount)
+      return make_error("bad-balance", "open must equal the pending amount");
+    return Status::success();
   }
 
-  StatelessVerdict v;
-  v.sig_ok = owner_ok && (cached || ok[kSig] != 0);
-  v.work_ok = !params_.verify_work || ok[kWork] != 0;
-  // Join: a fresh success enters the cache exactly where verify_cached
-  // would have inserted it on the serial path.
-  if (owner_ok && !cached && ok[kSig] != 0 && sigcache_)
-    sigcache_->insert(block.pubkey, hash, block.signature);
-  return v;
-}
+  if (!head) return make_error("gap-previous", "account chain does not exist");
+  if (block.previous != head->hash()) {
+    auto loc = locations_.find(block.previous);
+    if (loc != locations_.end() && loc->second.account == block.account)
+      return make_error("fork", "a successor already occupies this root");
+    return make_error("gap-previous", "predecessor not found");
+  }
 
-const LatticeBlock* Ledger::DirectView::head_of(
-    const crypto::AccountId& id) const {
-  const AccountInfo* info = l->account(id);
-  return info ? &info->head() : nullptr;
-}
-
-std::optional<crypto::AccountId> Ledger::DirectView::location_account(
-    const BlockHash& hash) const {
-  auto it = l->locations_.find(hash);
-  if (it == l->locations_.end()) return std::nullopt;
-  return it->second.account;
-}
-
-const PendingInfo* Ledger::DirectView::pending(const BlockHash& link) const {
-  auto it = l->pending_.find(link);
-  return it == l->pending_.end() ? nullptr : &it->second;
-}
-
-bool Ledger::DirectView::claimed(const BlockHash& link) const {
-  return l->claimed_.count(link) != 0;
-}
-
-Status Ledger::validate(const LatticeBlock& block,
-                        const StatelessVerdict* verdict) const {
-  return validate_with(DirectView{this}, block, verdict);
+  switch (block.type) {
+    case BlockType::kSend: {
+      if (block.link.is_zero())
+        return make_error("malformed", "send without destination");
+      if (block.balance >= head->balance)
+        return make_error("bad-balance", "send must decrease the balance");
+      return Status::success();
+    }
+    case BlockType::kReceive: {
+      const PendingInfo* pend = pending_send(block.link);
+      if (!pend) {
+        if (claimed_.count(block.link)) return make_error("already-claimed");
+        return make_error("gap-source", "unknown source send");
+      }
+      if (!(pend->destination == block.account))
+        return make_error("wrong-destination");
+      if (block.balance != head->balance + pend->amount)
+        return make_error("bad-balance",
+                          "receive must add exactly the pending amount");
+      return Status::success();
+    }
+    case BlockType::kChange: {
+      if (block.balance != head->balance)
+        return make_error("bad-balance", "change must keep the balance");
+      return Status::success();
+    }
+    case BlockType::kOpen:
+      break;  // handled above
+  }
+  return make_error("malformed", "unknown block type");
 }
 
 void Ledger::apply_weight_change(const crypto::AccountId& old_rep,
@@ -170,18 +171,7 @@ void Ledger::apply_weight_change(const crypto::AccountId& old_rep,
 Status Ledger::process(const LatticeBlock& block) {
   const BlockHash hash = block.hash();
   if (locations_.count(hash)) return make_error("duplicate");
-
-  if (parallel_validation()) {
-    const StatelessVerdict verdict = compute_verdict(block);
-    return process_one(block, hash, &verdict);
-  }
-  return process_one(block, hash, nullptr);
-}
-
-Status Ledger::process_one(const LatticeBlock& block, const BlockHash& hash,
-                           const StatelessVerdict* verdict) {
-  if (locations_.count(hash)) return make_error("duplicate");
-  Status st = validate(block, verdict);
+  Status st = validate(block);
   if (!st.ok()) return st;
   apply_validated(block, hash);
   return Status::success();
@@ -272,141 +262,6 @@ std::size_t Ledger::replay_from_store() {
     if (process(*block).ok()) ++accepted;
   }
   return accepted;
-}
-
-std::vector<Status> Ledger::process_batch(
-    const std::vector<LatticeBlock>& blocks) {
-  const std::size_t n = blocks.size();
-  std::vector<Status> out(n);
-  if (!parallel_state() || n < 2) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = process(blocks[i]);
-    return out;
-  }
-
-  // Collect on the calling thread: hashes, frozen-duplicate flags and the
-  // stateless verdicts, in batch order. Verdicts are skipped for blocks the
-  // frozen ledger already holds, exactly as the serial loop's duplicate
-  // check would skip them; sigcache probes never mutate the cache and keys
-  // are per-block unique, so computing the rest upfront inserts into the
-  // cache in the same order the serial loop interleaves them.
-  std::vector<BlockHash> hashes(n);
-  std::vector<std::uint8_t> dup_frozen(n, 0);
-  std::vector<StatelessVerdict> verdicts(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    hashes[i] = blocks[i].hash();
-    dup_frozen[i] = locations_.count(hashes[i]) ? 1 : 0;
-    if (!dup_frozen[i]) verdicts[i] = compute_verdict(blocks[i]);
-  }
-
-  // Key extraction: a block touches its account chain (head + new
-  // location), its own hash (duplicate detection), its predecessor's
-  // location and the send it links to. In-batch dependency chains (a send
-  // followed by its receive, a head followed by its successor) share a key
-  // and land in one group.
-  core::ConflictPartitioner part(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    part.add_key(i, blocks[i].account);
-    part.add_key(i, hashes[i]);
-    if (!blocks[i].previous.is_zero()) part.add_key(i, blocks[i].previous);
-    if (!blocks[i].link.is_zero()) part.add_key(i, blocks[i].link);
-  }
-  const auto groups = part.groups();
-  ps_.record_batch(groups.size(), verify_pool_->thread_count());
-  if (groups.size() < 2) {
-    // One spanning group: nothing to parallelize; serial reference path.
-    ps_.record_demotion();
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = process_one(blocks[i], hashes[i],
-                           dup_frozen[i] ? nullptr : &verdicts[i]);
-    return out;
-  }
-
-  // Group checks: side-effect-free validation against the frozen ledger
-  // plus a group-local overlay mirroring apply_validated's effects. Every
-  // state entry a block reads or writes is covered by its keys (group
-  // closure), so concurrent groups never observe each other; workers take
-  // verdict slots for all crypto and write only their own status slots.
-  {
-    obs::ProfileTimer timer(ps_.join_us);
-    verify_pool_->parallel_for(groups.size(), [&](std::size_t g) {
-      struct Overlay {
-        const Ledger* l;
-        std::unordered_map<crypto::AccountId, const LatticeBlock*> heads;
-        std::unordered_map<BlockHash, crypto::AccountId> locs;
-        std::unordered_map<BlockHash, PendingInfo> pend_added;
-        std::unordered_set<BlockHash> pend_removed;
-        std::unordered_set<BlockHash> claim_added;
-
-        const LatticeBlock* head_of(const crypto::AccountId& id) const {
-          auto it = heads.find(id);
-          if (it != heads.end()) return it->second;
-          const AccountInfo* info = l->account(id);
-          return info ? &info->head() : nullptr;
-        }
-        std::optional<crypto::AccountId> location_account(
-            const BlockHash& hash) const {
-          auto it = locs.find(hash);
-          if (it != locs.end()) return it->second;
-          auto fit = l->locations_.find(hash);
-          if (fit == l->locations_.end()) return std::nullopt;
-          return fit->second.account;
-        }
-        const PendingInfo* pending(const BlockHash& link) const {
-          if (pend_removed.count(link)) return nullptr;
-          auto it = pend_added.find(link);
-          if (it != pend_added.end()) return &it->second;
-          auto fit = l->pending_.find(link);
-          return fit == l->pending_.end() ? nullptr : &fit->second;
-        }
-        bool claimed(const BlockHash& link) const {
-          return claim_added.count(link) != 0 ||
-                 l->claimed_.count(link) != 0;
-        }
-        bool contains(const BlockHash& hash) const {
-          return locs.count(hash) != 0 || l->locations_.count(hash) != 0;
-        }
-
-        void apply(const LatticeBlock& b, const BlockHash& h) {
-          if (b.type == BlockType::kOpen) {
-            claim_added.insert(b.link);
-            if (!pend_added.erase(b.link)) pend_removed.insert(b.link);
-          } else if (b.type == BlockType::kSend) {
-            const LatticeBlock* head = head_of(b.account);
-            pend_added.emplace(
-                h, PendingInfo{b.account, b.link, head->balance - b.balance});
-          } else if (b.type == BlockType::kReceive) {
-            claim_added.insert(b.link);
-            if (!pend_added.erase(b.link)) pend_removed.insert(b.link);
-          }
-          heads[b.account] = &b;
-          locs[h] = b.account;
-        }
-      };
-
-      Overlay ov{this, {}, {}, {}, {}, {}};
-      for (const std::size_t i : groups[g]) {
-        if (ov.contains(hashes[i])) {
-          out[i] = make_error("duplicate");
-          continue;
-        }
-        out[i] = validate_with(ov, blocks[i], &verdicts[i]);
-        if (out[i].ok()) ov.apply(blocks[i], hashes[i]);
-      }
-    });
-  }
-
-  // Commit: replay the exact serial mutation sequence, in batch order, for
-  // every block whose group check passed. Failed blocks are skipped with
-  // their group-check status — identical to the serial loop, where a
-  // failed process() leaves the ledger untouched.
-  std::size_t applied = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!out[i].ok()) continue;
-    apply_validated(blocks[i], hashes[i]);
-    ++applied;
-  }
-  ps_.record_applied(applied);
-  return out;
 }
 
 std::vector<std::pair<BlockHash, PendingInfo>> Ledger::pending_for(

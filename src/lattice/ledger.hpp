@@ -10,12 +10,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/validation.hpp"
 #include "lattice/block.hpp"
-#include "obs/parallel.hpp"
 #include "storage/ledger_store.hpp"
 #include "support/result.hpp"
-#include "support/thread_pool.hpp"
 
 namespace dlt::lattice {
 
@@ -72,50 +69,12 @@ class Ledger {
   ///  "gap-source"   -- receive references an unknown send
   Status process(const LatticeBlock& block);
 
-  /// Processes a batch of blocks in order, returning one Status per block
-  /// (index-aligned). With parallel_state off this is exactly a process()
-  /// loop. With it on, blocks are union-found into conflict groups on the
-  /// state keys they touch (account, own hash, predecessor, link), groups
-  /// are checked concurrently against the frozen pre-batch ledger plus a
-  /// group-local overlay, and the passing blocks are committed serially in
-  /// batch order — byte-identical statuses and ledger state either way
-  /// (proven by tests/state_sharding_test.cpp). Per-block failures keep
-  /// the batch's per-item semantics: a bad block is skipped, not fatal.
-  std::vector<Status> process_batch(const std::vector<LatticeBlock>& blocks);
-
   /// Shared signature-verification cache used by process(); typically one
   /// per cluster (crypto/sigcache.hpp). May be null.
   void set_sigcache(std::shared_ptr<crypto::SignatureCache> cache) {
     sigcache_ = std::move(cache);
   }
   crypto::SignatureCache* sigcache() const { return sigcache_.get(); }
-
-  /// Thread pool the parallel-validation pipeline shards stateless checks
-  /// (signature + hashcash) across. Null = serial.
-  void set_verify_pool(std::shared_ptr<support::ThreadPool> pool) {
-    verify_pool_ = std::move(pool);
-  }
-  /// Switches process() to the sharded pipeline: the two stateless checks
-  /// of a block run across the verify pool and validate() consumes the
-  /// joined verdict. No-op without a pool; either setting yields
-  /// byte-identical ledger state and traces for a given input sequence.
-  void set_parallel_validation(bool on) { parallel_validation_ = on; }
-  bool parallel_validation() const {
-    return parallel_validation_ && verify_pool_ != nullptr;
-  }
-  /// Shards the stateful phase of process_batch() by conflict groups (see
-  /// process_batch). No-op without a pool; implies the verdict pipeline so
-  /// group workers never touch the sigcache or a digest cache.
-  void set_parallel_state(bool on) { parallel_state_ = on; }
-  bool parallel_state() const {
-    return parallel_state_ && verify_pool_ != nullptr;
-  }
-  /// Wires the `parallel.validate.*` / `parallel.state.*` metrics. May be
-  /// null.
-  void set_metrics(obs::MetricsRegistry* metrics) {
-    pv_.wire(obs::Probe{metrics, nullptr, {}});
-    ps_.wire(obs::Probe{metrics, nullptr, {}});
-  }
 
   // ---- Queries -----------------------------------------------------------
   const AccountInfo* account(const crypto::AccountId& id) const;
@@ -207,117 +166,9 @@ class Ledger {
     std::uint32_t height = 0;
   };
 
-  /// Joined results of the stateless checks for one block (the shared
-  /// single-signature verdict from core/validation.hpp).
-  using StatelessVerdict = core::StatelessVerdict;
-
-  /// Runs the stateless checks across the verify pool: the content hash is
-  /// memoized and the sigcache probed on the calling (simulation) thread,
-  /// workers evaluate only pure functions, and fresh signature successes
-  /// enter the cache at the join — exactly where the serial path's
-  /// verify_cached would insert them.
-  StatelessVerdict compute_verdict(const LatticeBlock& block) const;
-
-  /// The single definition of lattice-block validity, parameterized over
-  /// the state view so the serial path (view = the live ledger maps) and
-  /// the sharded batch pipeline (view = frozen ledger + group overlay)
-  /// cannot diverge: same checks, same error codes, in the same order.
-  /// A View provides:
-  ///   const LatticeBlock* head_of(account)       — account head or null
-  ///   std::optional<AccountId> location_account(hash)
-  ///   const PendingInfo* pending(link)           — unclaimed send or null
-  ///   bool claimed(link)
-  template <typename View>
-  Status validate_with(const View& view, const LatticeBlock& block,
-                       const StatelessVerdict* verdict) const {
-    const bool sig_ok =
-        verdict ? verdict->sig_ok : block.verify_signature(sigcache_.get());
-    if (!sig_ok) return make_error("bad-signature");
-    if (params_.verify_work) {
-      const bool work_ok =
-          verdict ? verdict->work_ok : block.verify_work(params_.work_bits);
-      if (!work_ok)
-        return make_error("insufficient-work",
-                          "anti-spam hashcash below threshold");
-    }
-
-    const LatticeBlock* head = view.head_of(block.account);
-
-    if (block.type == BlockType::kOpen) {
-      if (!block.previous.is_zero())
-        return make_error("malformed", "open block with a predecessor");
-      if (head) return make_error("fork", "account already opened");
-      const PendingInfo* pend = view.pending(block.link);
-      if (!pend) {
-        // Distinguish a never-seen source from an already-claimed one.
-        if (view.claimed(block.link)) return make_error("already-claimed");
-        return make_error("gap-source", "unknown source send");
-      }
-      if (!(pend->destination == block.account))
-        return make_error("wrong-destination");
-      if (block.balance != pend->amount)
-        return make_error("bad-balance", "open must equal the pending amount");
-      return Status::success();
-    }
-
-    if (!head)
-      return make_error("gap-previous", "account chain does not exist");
-    if (block.previous != head->hash()) {
-      const std::optional<crypto::AccountId> loc =
-          view.location_account(block.previous);
-      if (loc && *loc == block.account)
-        return make_error("fork", "a successor already occupies this root");
-      return make_error("gap-previous", "predecessor not found");
-    }
-
-    switch (block.type) {
-      case BlockType::kSend: {
-        if (block.link.is_zero())
-          return make_error("malformed", "send without destination");
-        if (block.balance >= head->balance)
-          return make_error("bad-balance", "send must decrease the balance");
-        return Status::success();
-      }
-      case BlockType::kReceive: {
-        const PendingInfo* pend = view.pending(block.link);
-        if (!pend) {
-          if (view.claimed(block.link)) return make_error("already-claimed");
-          return make_error("gap-source", "unknown source send");
-        }
-        if (!(pend->destination == block.account))
-          return make_error("wrong-destination");
-        if (block.balance != head->balance + pend->amount)
-          return make_error("bad-balance",
-                            "receive must add exactly the pending amount");
-        return Status::success();
-      }
-      case BlockType::kChange: {
-        if (block.balance != head->balance)
-          return make_error("bad-balance", "change must keep the balance");
-        return Status::success();
-      }
-      case BlockType::kOpen:
-        break;  // handled above
-    }
-    return make_error("malformed", "unknown block type");
-  }
-
-  /// Direct view over the live ledger maps (the serial path).
-  struct DirectView {
-    const Ledger* l;
-    const LatticeBlock* head_of(const crypto::AccountId& id) const;
-    std::optional<crypto::AccountId> location_account(
-        const BlockHash& hash) const;
-    const PendingInfo* pending(const BlockHash& link) const;
-    bool claimed(const BlockHash& link) const;
-  };
-
-  Status validate(const LatticeBlock& block,
-                  const StatelessVerdict* verdict = nullptr) const;
-  /// Duplicate check + validate + apply, with an optional pre-computed
-  /// verdict (batch pipeline / demoted batches).
-  Status process_one(const LatticeBlock& block, const BlockHash& hash,
-                     const StatelessVerdict* verdict);
+  /// Lattice-block validity against the live ledger: signature, work,
+  /// then the per-type chain and pending-send rules.
+  Status validate(const LatticeBlock& block) const;
   /// The mutation half of process(): applies an already-validated block.
   void apply_validated(const LatticeBlock& block, const BlockHash& hash);
   void apply_weight_change(const crypto::AccountId& old_rep, Amount old_bal,
@@ -345,11 +196,6 @@ class Ledger {
   std::uint64_t pruned_blocks_ = 0;
   std::shared_ptr<storage::LedgerStore> store_;
   std::shared_ptr<crypto::SignatureCache> sigcache_;
-  std::shared_ptr<support::ThreadPool> verify_pool_;
-  bool parallel_validation_ = false;
-  bool parallel_state_ = false;
-  mutable obs::ParallelValidationMetrics pv_;
-  mutable obs::ParallelStateMetrics ps_;
 };
 
 }  // namespace dlt::lattice

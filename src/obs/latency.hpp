@@ -22,8 +22,7 @@
 // Determinism contract: every stamp is a sim-time value recorded on the
 // serial simulation thread; the tracker holds no wall-clock state and
 // draws no randomness (the histograms' reservoir RNG is fixed-seed), so
-// same-seed runs — serial or parallel (verify/state) — produce
-// byte-identical latency.* JSON and trace bytes.
+// same-seed runs produce byte-identical latency.* JSON and trace bytes.
 //
 // Only transactions registered via on_submit are tracked: stage calls
 // for unknown ids (funding sends, blocks submitted directly to a node

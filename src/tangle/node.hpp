@@ -27,17 +27,6 @@ class LatencyTracker;
 namespace dlt::tangle {
 
 struct TangleNodeConfig {
-  /// Thread pool for the tangle's parallel-validation pipeline. May be
-  /// null (serial validation).
-  std::shared_ptr<support::ThreadPool> verify_pool;
-  /// Shard each transaction's stateless checks (signature + hashcash)
-  /// across `verify_pool` before the serial cone phase. Needs the pool;
-  /// attach outcomes are byte-identical either way for a given seed.
-  bool parallel_validation = false;
-  /// Shard the stateful phase of batched attaches by conflict groups
-  /// (Tangle::attach_batch). Needs the pool; outcomes are byte-identical
-  /// either way for a given seed.
-  bool parallel_state = false;
   /// Per-node persistent store (storage/ledger_store.hpp); handed to the
   /// tangle via Tangle::attach_store. Null = no write-through.
   std::shared_ptr<storage::LedgerStore> store;

@@ -23,15 +23,12 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/validation.hpp"
 #include "crypto/hashcash.hpp"
 #include "crypto/keys.hpp"
-#include "obs/parallel.hpp"
 #include "obs/probe.hpp"
 #include "storage/ledger_store.hpp"
 #include "support/result.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace dlt::tangle {
 
@@ -108,17 +105,6 @@ class Tangle {
   /// conflicts (with each other and with the new transaction).
   Status attach(const TangleTx& tx);
 
-  /// Attaches a batch of transactions in order, returning one Status per
-  /// transaction (index-aligned). With parallel_state off this is exactly
-  /// an attach() loop. With it on, transactions are union-found into
-  /// conflict groups on the state keys they touch (own hash, trunk,
-  /// branch, spend key), groups are checked concurrently against the
-  /// frozen pre-batch tangle plus a group-local overlay, and the passing
-  /// transactions are committed — counters and tip_attached traces
-  /// replayed — serially in batch order. Byte-identical statuses, traces
-  /// and tangle state either way (tests/state_sharding_test.cpp).
-  std::vector<Status> attach_batch(const std::vector<TangleTx>& txs);
-
   bool contains(const TxHash& hash) const { return txs_.count(hash) != 0; }
   const TangleTx* find(const TxHash& hash) const;
 
@@ -156,7 +142,7 @@ class Tangle {
   /// `mrts` consume exactly one uniform01() draw per selection; `mcmc`
   /// consumes one per walk step. Candidate orderings are canonical (sorted
   /// by hash), so the draw count and the selected tip depend only on the
-  /// tangle contents and the RNG stream — never on worker counts.
+  /// tangle contents and the RNG stream — never on hash-map order.
   TxHash select_tip_with(TipStrategy strategy, Rng& rng,
                          const std::vector<Hash256>& spend_keys = {}) const;
 
@@ -203,42 +189,14 @@ class Tangle {
   /// attach order is visible in traces.
   void set_trace_node(std::uint32_t node) { trace_node_ = node; }
 
-  /// Thread pool for the parallel-validation pipeline. Null = serial.
-  void set_verify_pool(std::shared_ptr<support::ThreadPool> pool) {
-    verify_pool_ = std::move(pool);
-  }
-  /// Shards attach()'s stateless checks (signature + hashcash, both pure —
-  /// TangleTx::hash() recomputes rather than memoizes) across the verify
-  /// pool before the serial cone/conflict phase. Needs the pool; attach
-  /// outcomes are identical either way.
-  void set_parallel_validation(bool on) { parallel_validation_ = on; }
-  bool parallel_validation() const {
-    return parallel_validation_ && verify_pool_ != nullptr;
-  }
-  /// Shards the stateful phase of attach_batch() by conflict groups (see
-  /// attach_batch). No-op without a pool; implies the verdict pipeline so
-  /// group workers only evaluate pure cone traversals.
-  void set_parallel_state(bool on) { parallel_state_ = on; }
-  bool parallel_state() const {
-    return parallel_state_ && verify_pool_ != nullptr;
-  }
-
  private:
+  /// Validates and inserts `tx`; attach() adds the counters and trace.
   Status attach_impl(const TangleTx& tx);
-  /// Duplicate check + stateless checks + cone checks + apply, with an
-  /// optional pre-computed verdict (batch pipeline / demoted batches).
-  Status attach_one(const TangleTx& tx, const TxHash& hash,
-                    const core::StatelessVerdict* verdict);
-  /// Runs the two stateless checks across the verify pool into a verdict
-  /// (signature first, then hashcash — the serial reporting order).
-  core::StatelessVerdict compute_verdict(const TangleTx& tx) const;
-  /// Consumes a verdict (or runs the checks inline when null).
-  Status check_stateless(const TangleTx& tx,
-                         const core::StatelessVerdict* verdict) const;
-  /// The mutation half of attach: inserts an already-validated tx.
-  void apply_attached(const TangleTx& tx, const TxHash& hash);
-  /// Counters + tip_attached trace, exactly as attach() records them.
-  void record_attach(const TangleTx& tx, const Status& st);
+  /// Signature, work and own-weight policy: checks of `tx` alone.
+  Status check_stateless(const TangleTx& tx) const;
+  /// Parents present, combined past cone conflict-free, and no double
+  /// spend of the new transaction's own key within that cone.
+  Status check_cones(const TangleTx& tx) const;
   bool cone_conflicts(const TxHash& a, const TxHash& b) const;
 
   TangleParams params_;
@@ -254,12 +212,6 @@ class Tangle {
   std::shared_ptr<storage::LedgerStore> store_;
   obs::Counter* obs_attached_ = nullptr;
   obs::Counter* obs_rejected_ = nullptr;
-
-  std::shared_ptr<support::ThreadPool> verify_pool_;
-  bool parallel_validation_ = false;
-  bool parallel_state_ = false;
-  mutable obs::ParallelValidationMetrics pv_;
-  obs::ParallelStateMetrics ps_;
 };
 
 /// Convenience issuer: builds, works and signs a transaction approving

@@ -13,7 +13,7 @@
 //   mrts     — uniform over the most-recent tips
 //
 // Env knob: DLT_TIP_SELECTION=<name> overrides the configured strategy
-// (apply_env_tip_selection), the same pattern as DLT_VERIFY_THREADS.
+// (apply_env_tip_selection).
 //
 // Determinism contract: a selector draws from the Rng handed to select();
 // nodes hand their dedicated selection stream (TangleNode::select_rng_,

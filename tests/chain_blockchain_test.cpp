@@ -179,6 +179,66 @@ TEST_F(BlockchainTest, DoubleSpendAcrossBlocksRejected) {
   EXPECT_EQ(res.error().code, "missing-utxo");
 }
 
+TEST_F(BlockchainTest, TamperedSignatureRejectedAtConnect) {
+  UtxoTransaction tx = make_spend(1, 2, 50'000);
+  tx.inputs[0].signature.s ^= 1;
+  tx.invalidate_digests();
+  const BlockHash tip = chain.tip_hash();
+  const Amount supply = chain.utxo_set().total_value();
+  UtxoTxList txs{UtxoTransaction::coinbase(miner, chain.params().block_reward,
+                                           chain.height() + 1),
+                 tx};
+  auto res = chain.submit(seal_block(chain, tip, std::move(txs), miner));
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.error().code, "bad-signature");
+  EXPECT_EQ(chain.tip_hash(), tip);
+  EXPECT_EQ(chain.utxo_set().total_value(), supply);
+}
+
+TEST_F(BlockchainTest, InBlockDoubleSpendRejected) {
+  // Two payments spending the same coin in one block: the second finds its
+  // input already spent by the first, and the whole block is rolled back.
+  const auto coins = chain.utxo_set().find_owned(keys[1].account_id());
+  ASSERT_FALSE(coins.empty());
+  const auto& [coin, out] = coins.front();
+  auto pay = [&](std::size_t to) {
+    UtxoTransaction tx;
+    tx.inputs.push_back(TxIn{coin, 0, {}});
+    tx.outputs.push_back(TxOut{out.value, keys[to].account_id()});
+    tx.sign_all({keys[1]}, rng);
+    return tx;
+  };
+  const BlockHash tip = chain.tip_hash();
+  const Amount supply = chain.utxo_set().total_value();
+  UtxoTxList txs{UtxoTransaction::coinbase(miner, chain.params().block_reward,
+                                           chain.height() + 1),
+                 pay(2), pay(3)};
+  auto res = chain.submit(seal_block(chain, tip, std::move(txs), miner));
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.error().code, "missing-utxo");
+  EXPECT_EQ(chain.tip_hash(), tip);
+  EXPECT_EQ(chain.utxo_set().total_value(), supply);
+  EXPECT_TRUE(chain.utxo_set().contains(coin));
+}
+
+TEST_F(BlockchainTest, InBlockSpendChainConnects) {
+  // The second payment spends the first one's output inside the same block.
+  const UtxoTransaction hop1 = make_spend(1, 2, 100'000);
+  UtxoTransaction hop2;
+  hop2.inputs.push_back(TxIn{Outpoint{hop1.id(), 0}, 0, {}});
+  hop2.outputs.push_back(TxOut{100'000, keys[3].account_id()});
+  hop2.sign_all({keys[2]}, rng);
+  UtxoTxList txs{UtxoTransaction::coinbase(miner, chain.params().block_reward,
+                                           chain.height() + 1),
+                 hop1, hop2};
+  auto res = chain.submit(
+      seal_block(chain, chain.tip_hash(), std::move(txs), miner));
+  ASSERT_TRUE(res.ok()) << res.error().to_string();
+  EXPECT_EQ(chain.height(), 1u);
+  EXPECT_FALSE(chain.utxo_set().contains(Outpoint{hop1.id(), 0}));
+  EXPECT_TRUE(chain.utxo_set().contains(Outpoint{hop2.id(), 0}));
+}
+
 TEST_F(BlockchainTest, OrphanHeldUntilParentArrives) {
   Block b1 = extend_tip();
   // Build b2 on top of b1 without submitting b1 (need a temp chain).
@@ -373,6 +433,37 @@ TEST(UtxoWallet, ForEachOwnedSkipKeepsIndexOrderAndStopsEarly) {
       [&](const Outpoint&, const TxOut&) { return ++visits != 0; },
       [&](const Outpoint&) { return ++probes == 0; });
   EXPECT_EQ(visits + probes, 0u);
+}
+
+TEST(AccountBlockchain, TamperedSignatureRejectedAtConnect) {
+  const auto keys = make_keys(2);
+  Blockchain chain(testutil::cheap_pow_account(), fund_all(keys, 1'000'000));
+  Rng rng(6);
+  AccountTransaction tx;
+  tx.to = keys[1].account_id();
+  tx.value = 500;
+  tx.nonce = 0;
+  tx.gas_limit = tx.intrinsic_gas();
+  tx.gas_price = 1;
+  tx.sign(keys[0], rng);
+  Block bad =
+      testutil::seal_account_tip(chain, AccountTxList{tx}, keys[0].account_id());
+  std::get<AccountTxList>(bad.txs)[0].signature.s ^= 1;
+  std::get<AccountTxList>(bad.txs)[0].invalidate_digests();
+  bad.header.merkle_root = bad.compute_merkle_root();
+  bad.header.invalidate_digests();
+  for (std::uint64_t nonce = 0;; ++nonce) {
+    bad.header.nonce = nonce;
+    if (meets_target(bad.header.pow_digest(), bad.header.difficulty)) break;
+  }
+
+  const BlockHash tip = chain.tip_hash();
+  const Hash256 root = chain.world_state().root();
+  auto res = chain.submit(bad);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.error().code, "bad-signature");
+  EXPECT_EQ(chain.tip_hash(), tip);
+  EXPECT_EQ(chain.world_state().root(), root);
 }
 
 TEST(Difficulty, RetargetMovesTowardTarget) {

@@ -12,7 +12,7 @@
 //   - an equal RunMetrics snapshot
 //
 // for both ledger kinds. The tangle (which never had a legacy driver)
-// is pinned the other way: serial vs 2 vs 4 verify workers must agree
+// is pinned the other way: two runs of the same seed must agree
 // byte-for-byte, the same invariance the determinism gate enforces.
 #include <gtest/gtest.h>
 
@@ -128,11 +128,6 @@ class LegacyChainCluster {
         nc.solve_pow = config_.params.verify_pow;
       }
       nc.sigcache = crypto_.sigcache;
-      if (crypto_.verify_pool && !nc.sigcache)
-        nc.sigcache = std::make_shared<crypto::SignatureCache>(
-            config_.crypto.sigcache_capacity);
-      nc.verify_pool = crypto_.verify_pool;
-      nc.parallel_validation = config_.crypto.parallel_validation;
       nc.probe = obs_.probe();
       nodes_.push_back(std::make_unique<chain::ChainNode>(
           *net_, config_.params, genesis, nc, rng_.fork(), stakes));
@@ -325,8 +320,6 @@ class LegacyLatticeCluster {
       if (i < config_.roles.size()) nc.role = config_.roles[i];
       nc.solve_work = config_.params.verify_work;
       nc.sigcache = crypto_.sigcache;
-      nc.verify_pool = crypto_.verify_pool;
-      nc.parallel_validation = config_.crypto.parallel_validation;
       nc.probe = obs_.probe();
       nodes_.push_back(std::make_unique<lattice::LatticeNode>(
           *net_, config_.params, genesis_key_, config_.supply, nc,
@@ -593,12 +586,12 @@ TEST(ClusterEngineParity, LatticeMatchesLegacyDriver) {
 }
 
 // ---------------------------------------------------------------------------
-// Tangle worker-count invariance: the third ledger has no legacy driver,
-// so its determinism pin is serial vs 2 vs 4 verify workers — the same
-// invariance tools/determinism_gate.sh checks on the bench binary.
+// Tangle rerun invariance: the third ledger has no legacy driver, so its
+// determinism pin is two runs of the same seed — the same invariance
+// tools/determinism_gate.sh checks on the bench binary.
 // ---------------------------------------------------------------------------
 
-TangleClusterConfig parity_tangle_config(std::size_t verify_threads) {
+TangleClusterConfig parity_tangle_config() {
   TangleClusterConfig cfg;
   cfg.node_count = 4;
   cfg.account_count = 12;
@@ -607,8 +600,6 @@ TangleClusterConfig parity_tangle_config(std::size_t verify_threads) {
   cfg.link = net::LinkParams{0.04, 0.01, 1e7};
   cfg.seed = 7;
   cfg.obs.trace_capacity = 1u << 20;
-  cfg.crypto.verify_threads = verify_threads;
-  cfg.crypto.parallel_validation = verify_threads > 0;
   return cfg;
 }
 
@@ -618,8 +609,8 @@ struct TangleRunResult {
   bool converged = false;
 };
 
-TangleRunResult run_tangle(std::size_t verify_threads) {
-  TangleCluster cluster(parity_tangle_config(verify_threads));
+TangleRunResult run_tangle() {
+  TangleCluster cluster(parity_tangle_config());
   cluster.start();
   Rng wl_rng(4);
   WorkloadConfig wl;
@@ -636,30 +627,24 @@ TangleRunResult run_tangle(std::size_t verify_threads) {
   return out;
 }
 
-TEST(ClusterEngineParity, TangleInvariantAcrossVerifyWorkerCounts) {
-  const TangleRunResult serial = run_tangle(0);
-  const TangleRunResult two = run_tangle(2);
-  const TangleRunResult four = run_tangle(4);
+TEST(ClusterEngineParity, TangleIdenticalOnRerun) {
+  const TangleRunResult first = run_tangle();
+  const TangleRunResult second = run_tangle();
 
-  ASSERT_FALSE(serial.trace.empty());
-  EXPECT_GT(serial.metrics.included, 0u);
-  EXPECT_TRUE(serial.converged);
-  EXPECT_TRUE(two.converged);
-  EXPECT_TRUE(four.converged);
+  ASSERT_FALSE(first.trace.empty());
+  EXPECT_GT(first.metrics.included, 0u);
+  EXPECT_TRUE(first.converged);
+  EXPECT_TRUE(second.converged);
 
-  EXPECT_EQ(serial.trace, two.trace);
-  EXPECT_EQ(serial.trace, four.trace);
-  expect_metrics_equal(serial.metrics, two.metrics);
-  expect_metrics_equal(serial.metrics, four.metrics);
+  EXPECT_EQ(first.trace, second.trace);
+  expect_metrics_equal(first.metrics, second.metrics);
 }
 
 // ---------------------------------------------------------------------------
 // Lifecycle-latency determinism (ISSUE 7 tentpole acceptance): the
 // latency.* registry section — reservoir-sampled percentiles included —
-// must be byte-identical across serial, 2/4 verify-worker and
-// parallel-state runs of the same seed, for all three ledgers. (The full
-// registry export can't be compared here: parallel.* instrumentation
-// counters legitimately differ across worker counts.)
+// must be byte-identical across two runs of the same seed, for all three
+// ledgers.
 // ---------------------------------------------------------------------------
 
 /// Extracts every "latency.*" member (histograms and the in-flight gauge)
@@ -675,28 +660,13 @@ std::string latency_json(const obs::MetricsRegistry& reg) {
   return out;
 }
 
-struct ParallelMode {
-  std::size_t verify_threads = 0;
-  bool parallel_state = false;
-};
-
-constexpr ParallelMode kParallelModes[] = {
-    {0, false}, {2, false}, {4, false}, {2, true}};
-
-void apply_mode(CryptoConfig& crypto, const ParallelMode& mode) {
-  crypto.verify_threads = mode.verify_threads;
-  crypto.parallel_validation = mode.verify_threads > 0;
-  crypto.parallel_state = mode.parallel_state;
-}
-
-TEST(LifecycleLatency, ChainDeterministicAcrossParallelModes) {
+TEST(LifecycleLatency, ChainDeterministicOnRerun) {
   std::string reference_latency, reference_trace;
-  for (const ParallelMode& mode : kParallelModes) {
+  for (int run = 0; run < 2; ++run) {
     ChainClusterConfig cfg = parity_chain_config();
     // Small percentile reservoir so the capped sampling path itself is
     // under the determinism pin, not just exact accumulation.
     cfg.obs.latency_sample_cap = 32;
-    apply_mode(cfg.crypto, mode);
     ChainCluster cluster(cfg);
     cluster.start();
     Rng wl_rng(7);
@@ -717,17 +687,15 @@ TEST(LifecycleLatency, ChainDeterministicAcrossParallelModes) {
       EXPECT_NE(latency.find("latency.submit_to_confirm"),
                 std::string::npos);
     } else {
-      EXPECT_EQ(latency, reference_latency)
-          << "verify_threads=" << mode.verify_threads
-          << " parallel_state=" << mode.parallel_state;
+      EXPECT_EQ(latency, reference_latency);
       EXPECT_EQ(trace, reference_trace);
     }
   }
 }
 
-TEST(LifecycleLatency, LatticeDeterministicAcrossParallelModes) {
+TEST(LifecycleLatency, LatticeDeterministicOnRerun) {
   std::string reference_latency, reference_trace;
-  for (const ParallelMode& mode : kParallelModes) {
+  for (int run = 0; run < 2; ++run) {
     LatticeClusterConfig cfg;
     cfg.node_count = 4;
     cfg.representative_count = 3;
@@ -736,7 +704,6 @@ TEST(LifecycleLatency, LatticeDeterministicAcrossParallelModes) {
     cfg.seed = 2024;
     cfg.obs.trace_capacity = 1u << 20;
     cfg.obs.latency_sample_cap = 32;
-    apply_mode(cfg.crypto, mode);
     LatticeCluster cluster(cfg);
     cluster.fund_accounts();
     Rng wl_rng(11);
@@ -755,20 +722,17 @@ TEST(LifecycleLatency, LatticeDeterministicAcrossParallelModes) {
       reference_latency = latency;
       reference_trace = trace;
     } else {
-      EXPECT_EQ(latency, reference_latency)
-          << "verify_threads=" << mode.verify_threads
-          << " parallel_state=" << mode.parallel_state;
+      EXPECT_EQ(latency, reference_latency);
       EXPECT_EQ(trace, reference_trace);
     }
   }
 }
 
-TEST(LifecycleLatency, TangleDeterministicAcrossParallelModes) {
+TEST(LifecycleLatency, TangleDeterministicOnRerun) {
   std::string reference_latency, reference_trace;
-  for (const ParallelMode& mode : kParallelModes) {
-    TangleClusterConfig cfg = parity_tangle_config(mode.verify_threads);
+  for (int run = 0; run < 2; ++run) {
+    TangleClusterConfig cfg = parity_tangle_config();
     cfg.obs.latency_sample_cap = 32;
-    cfg.crypto.parallel_state = mode.parallel_state;
     TangleCluster cluster(cfg);
     cluster.start();
     Rng wl_rng(4);
@@ -788,9 +752,7 @@ TEST(LifecycleLatency, TangleDeterministicAcrossParallelModes) {
       reference_latency = latency;
       reference_trace = trace;
     } else {
-      EXPECT_EQ(latency, reference_latency)
-          << "verify_threads=" << mode.verify_threads
-          << " parallel_state=" << mode.parallel_state;
+      EXPECT_EQ(latency, reference_latency);
       EXPECT_EQ(trace, reference_trace);
     }
   }

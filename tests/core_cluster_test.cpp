@@ -2,6 +2,8 @@
 // processing payments (paper §III, §IV, §VI).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/chain_cluster.hpp"
 #include "core/lattice_cluster.hpp"
 
@@ -241,6 +243,38 @@ TEST(LatticeCluster, DeterministicReplay) {
     return heads;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// The threaded validation and state-apply pipelines are gone; their three
+// CryptoConfig knobs stay declared only for existing callers that assign
+// them "off". Anything else must fail loudly, in every build type.
+TEST(CryptoConfig, RetiredPipelineKnobsAreRejected) {
+  CryptoConfig threads;
+  threads.verify_threads = 2;
+  EXPECT_THROW(make_cluster_crypto(threads), std::invalid_argument);
+
+  CryptoConfig validation;
+  validation.parallel_validation = true;
+  EXPECT_THROW(make_cluster_crypto(validation), std::invalid_argument);
+
+  CryptoConfig state;
+  state.parallel_state = true;
+  EXPECT_THROW(make_cluster_crypto(state), std::invalid_argument);
+
+  ChainClusterConfig cluster = small_pow_utxo();
+  cluster.crypto.verify_threads = 2;
+  EXPECT_THROW(ChainCluster{cluster}, std::invalid_argument);
+
+  // The all-off config the benchmark driver assigns is accepted.
+  CryptoConfig off;
+  off.shared_sigcache = true;
+  off.sigcache_capacity = 1u << 18;
+  off.verify_threads = 0;
+  off.parallel_validation = false;
+  off.parallel_state = false;
+  const ClusterCrypto handles = make_cluster_crypto(off);
+  ASSERT_NE(handles.sigcache, nullptr);
+  EXPECT_EQ(handles.sigcache->capacity(), std::size_t{1} << 18);
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
 // Tests for the crypto hot-path layer: digest memoization, the shared
-// signature-verification cache, SHA-256/PoW midstates, and the
-// batch-verification thread pool.
+// signature-verification cache and SHA-256/PoW midstates.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <vector>
 
 #include "chain/account_tx.hpp"
@@ -15,7 +13,6 @@
 #include "crypto/sha256.hpp"
 #include "crypto/sigcache.hpp"
 #include "lattice/block.hpp"
-#include "support/thread_pool.hpp"
 
 namespace dlt {
 namespace {
@@ -238,33 +235,6 @@ TEST(SigCache, BoundedWithWholesaleReset) {
   }
   EXPECT_GE(cache.stats().resets, 1u);
   EXPECT_EQ(cache.stats().insertions, 10u);
-}
-
-// --------------------------------------------------------------------------
-// Thread pool.
-
-TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  for (std::size_t threads : {1u, 2u, 4u}) {
-    support::ThreadPool pool(threads);
-    constexpr std::size_t kN = 1000;
-    std::vector<std::atomic<int>> counts(kN);
-    pool.parallel_for(kN, [&](std::size_t i) {
-      counts[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < kN; ++i)
-      ASSERT_EQ(counts[i].load(), 1) << "threads=" << threads << " i=" << i;
-  }
-}
-
-TEST(ThreadPool, HandlesEmptyAndRepeatedBatches) {
-  support::ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL(); });
-  std::atomic<int> total{0};
-  for (int round = 0; round < 50; ++round)
-    pool.parallel_for(10, [&](std::size_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  EXPECT_EQ(total.load(), 500);
 }
 
 }  // namespace

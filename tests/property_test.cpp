@@ -160,18 +160,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LatticeProperty,
                          ::testing::Values(7, 77, 777, 7777));
 
 // ---------------------------------------------------------------------------
-// Parallel-validation toggling: flipping the sharded pipeline on and off
-// MID-RUN (between simulation segments) must leave every invariant — and
-// the exact final state — untouched, because both modes are proven
-// equivalent per block. The toggled run is compared against a plain
-// serial run of the same seed.
+// Segmented runs: driving a cluster through many short run_for() segments
+// must leave every invariant — and the exact final state — identical to
+// one run_for() over the same simulated span of the same seed. Both runs
+// go through the one serial validate-and-apply path, so this pins rerun
+// determinism for each ledger alongside the conservation invariants.
 
-class ParallelToggleProperty : public ::testing::TestWithParam<std::uint64_t> {
+class SegmentedRunProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(ParallelToggleProperty, UtxoChainToggleMidRunMatchesSerial) {
+TEST_P(SegmentedRunProperty, UtxoChainMatchesOneShotRun) {
   const std::uint64_t seed = GetParam();
-  auto run = [&](bool toggled) {
+  auto run = [&](bool segmented) {
     ChainClusterConfig cfg;
     cfg.params = chain::bitcoin_like();
     cfg.params.verify_pow = false;
@@ -185,12 +185,6 @@ TEST_P(ParallelToggleProperty, UtxoChainToggleMidRunMatchesSerial) {
     cfg.initial_balance = 1'000'000;
     cfg.genesis_outputs_per_account = 4;
     cfg.seed = seed;
-    if (toggled) {
-      // A 2-thread pool exists from the start; whether connects route
-      // through it is flipped randomly between segments below.
-      cfg.crypto.verify_threads = 2;
-      cfg.crypto.parallel_validation = false;
-    }
     ChainCluster cluster(cfg);
     cluster.start();
     Rng wl(seed * 31 + 1);
@@ -200,41 +194,33 @@ TEST_P(ParallelToggleProperty, UtxoChainToggleMidRunMatchesSerial) {
     w.duration = 400.0;
     w.max_amount = 5000;
     cluster.schedule_workload(generate_payments(w, wl));
-    if (toggled) {
-      Rng toggle_rng(seed ^ 0x70661e);
-      for (int segment = 0; segment < 8; ++segment) {
-        cluster.set_parallel_validation(toggle_rng.uniform(2) == 1);
-        cluster.run_for(75.0);
-      }
+    if (segmented) {
+      for (int segment = 0; segment < 8; ++segment) cluster.run_for(75.0);
     } else {
       cluster.run_for(600.0);
     }
     cluster.run_for(200.0);  // quiesce
-    EXPECT_TRUE(cluster.converged()) << "toggled=" << toggled;
+    EXPECT_TRUE(cluster.converged()) << "segmented=" << segmented;
     const auto& bc = cluster.node(0).chain();
     const chain::Amount genesis_total = 10ull * 4ull * 1'000'000ull;
     EXPECT_EQ(bc.utxo_set().total_value(),
               genesis_total + static_cast<chain::Amount>(bc.height()) *
                                   bc.params().block_reward)
-        << "toggled=" << toggled;
+        << "segmented=" << segmented;
     return std::pair{bc.tip_hash(), bc.utxo_set().total_value()};
   };
   EXPECT_EQ(run(false), run(true));
 }
 
-TEST_P(ParallelToggleProperty, LatticeToggleMidRunMatchesSerial) {
+TEST_P(SegmentedRunProperty, LatticeMatchesOneShotRun) {
   const std::uint64_t seed = GetParam();
-  auto run = [&](bool toggled) {
+  auto run = [&](bool segmented) {
     LatticeClusterConfig cfg;
     cfg.node_count = 4;
     cfg.representative_count = 2;
     cfg.account_count = 10;
     cfg.params.work_bits = 2;
     cfg.seed = seed;
-    if (toggled) {
-      cfg.crypto.verify_threads = 2;
-      cfg.crypto.parallel_validation = false;
-    }
     LatticeCluster cluster(cfg);
     cluster.fund_accounts();
     Rng wl(seed * 7 + 3);
@@ -243,19 +229,15 @@ TEST_P(ParallelToggleProperty, LatticeToggleMidRunMatchesSerial) {
     w.tx_rate = 1.5;
     w.duration = 60.0;
     cluster.schedule_workload(generate_payments(w, wl));
-    if (toggled) {
-      Rng toggle_rng(seed ^ 0x70661e);
-      for (int segment = 0; segment < 6; ++segment) {
-        cluster.set_parallel_validation(toggle_rng.uniform(2) == 1);
-        cluster.run_for(20.0);
-      }
+    if (segmented) {
+      for (int segment = 0; segment < 6; ++segment) cluster.run_for(20.0);
     } else {
       cluster.run_for(120.0);
     }
     for (std::size_t i = 0; i < cluster.node_count(); ++i)
       EXPECT_TRUE(cluster.node(i).ledger().conserves_value())
-          << "node=" << i << " toggled=" << toggled;
-    EXPECT_TRUE(cluster.converged()) << "toggled=" << toggled;
+          << "node=" << i << " segmented=" << segmented;
+    EXPECT_TRUE(cluster.converged()) << "segmented=" << segmented;
     std::vector<lattice::Amount> balances;
     for (std::size_t a = 0; a < 10; ++a)
       balances.push_back(cluster.node(0).ledger().balance_of(
@@ -265,74 +247,15 @@ TEST_P(ParallelToggleProperty, LatticeToggleMidRunMatchesSerial) {
   EXPECT_EQ(run(false), run(true));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelToggleProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, SegmentedRunProperty,
                          ::testing::Values(19, 38, 57));
 
-// ---------------------------------------------------------------------------
-// State-sharding toggling: like the validation toggle above, but flipping
-// the conflict-group state-application pipeline (ISSUE 5) on and off
-// mid-run. Sharded connects are committed through the serial replay, so
-// any segment mix must reproduce the plain serial history bit for bit.
+class AccountSegmentedRunProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
 
-class StateToggleProperty : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(StateToggleProperty, UtxoChainToggleMidRunMatchesSerial) {
+TEST_P(AccountSegmentedRunProperty, AccountChainMatchesOneShotRun) {
   const std::uint64_t seed = GetParam();
-  auto run = [&](bool toggled) {
-    ChainClusterConfig cfg;
-    cfg.params = chain::bitcoin_like();
-    cfg.params.verify_pow = false;
-    cfg.params.retarget_window = 0;
-    cfg.params.block_interval = 25.0;
-    cfg.params.initial_difficulty = 1e6;
-    cfg.node_count = 4;
-    cfg.miner_count = 2;
-    cfg.total_hashrate = 1e6 / 25.0;
-    cfg.account_count = 10;
-    cfg.initial_balance = 1'000'000;
-    cfg.genesis_outputs_per_account = 4;
-    cfg.seed = seed;
-    if (toggled) {
-      // A 2-thread pool exists from the start; whether connect_block
-      // shards state application is flipped randomly between segments.
-      cfg.crypto.verify_threads = 2;
-      cfg.crypto.parallel_state = false;
-    }
-    ChainCluster cluster(cfg);
-    cluster.start();
-    Rng wl(seed * 31 + 1);
-    WorkloadConfig w;
-    w.account_count = 10;
-    w.tx_rate = 1.0;
-    w.duration = 400.0;
-    w.max_amount = 5000;
-    cluster.schedule_workload(generate_payments(w, wl));
-    if (toggled) {
-      Rng toggle_rng(seed ^ 0x57a7e5);
-      for (int segment = 0; segment < 8; ++segment) {
-        cluster.set_parallel_state(toggle_rng.uniform(2) == 1);
-        cluster.run_for(75.0);
-      }
-    } else {
-      cluster.run_for(600.0);
-    }
-    cluster.run_for(200.0);  // quiesce
-    EXPECT_TRUE(cluster.converged()) << "toggled=" << toggled;
-    const auto& bc = cluster.node(0).chain();
-    const chain::Amount genesis_total = 10ull * 4ull * 1'000'000ull;
-    EXPECT_EQ(bc.utxo_set().total_value(),
-              genesis_total + static_cast<chain::Amount>(bc.height()) *
-                                  bc.params().block_reward)
-        << "toggled=" << toggled;
-    return std::pair{bc.tip_hash(), bc.utxo_set().total_value()};
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST_P(StateToggleProperty, AccountChainToggleMidRunMatchesSerial) {
-  const std::uint64_t seed = GetParam();
-  auto run = [&](bool toggled) {
+  auto run = [&](bool segmented) {
     ChainClusterConfig cfg;
     cfg.params = chain::ethereum_like();
     cfg.params.verify_pow = false;
@@ -344,10 +267,6 @@ TEST_P(StateToggleProperty, AccountChainToggleMidRunMatchesSerial) {
     cfg.account_count = 10;
     cfg.initial_balance = 50'000'000;
     cfg.seed = seed;
-    if (toggled) {
-      cfg.crypto.verify_threads = 2;
-      cfg.crypto.parallel_state = false;
-    }
     ChainCluster cluster(cfg);
     cluster.start();
     Rng wl(seed * 17 + 5);
@@ -356,29 +275,25 @@ TEST_P(StateToggleProperty, AccountChainToggleMidRunMatchesSerial) {
     w.tx_rate = 2.0;
     w.duration = 300.0;
     cluster.schedule_workload(generate_payments(w, wl));
-    if (toggled) {
-      Rng toggle_rng(seed ^ 0x57a7e5);
-      for (int segment = 0; segment < 6; ++segment) {
-        cluster.set_parallel_state(toggle_rng.uniform(2) == 1);
-        cluster.run_for(60.0);
-      }
+    if (segmented) {
+      for (int segment = 0; segment < 6; ++segment) cluster.run_for(60.0);
     } else {
       cluster.run_for(360.0);
     }
     cluster.run_for(140.0);  // quiesce
-    EXPECT_TRUE(cluster.converged()) << "toggled=" << toggled;
+    EXPECT_TRUE(cluster.converged()) << "segmented=" << segmented;
     const auto& bc = cluster.node(0).chain();
     EXPECT_EQ(bc.world_state().total_supply(),
               10ull * 50'000'000ull +
                   static_cast<chain::Amount>(bc.height()) *
                       bc.params().block_reward)
-        << "toggled=" << toggled;
+        << "segmented=" << segmented;
     return bc.tip_hash();
   };
   EXPECT_EQ(run(false), run(true));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, StateToggleProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, AccountSegmentedRunProperty,
                          ::testing::Values(23, 46, 69));
 
 // ---------------------------------------------------------------------------

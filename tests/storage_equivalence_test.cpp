@@ -95,11 +95,10 @@ void expect_run_metrics_eq(const core::RunMetrics& a,
 
 bool volatile_metric(const std::string& key) {
   return key.find("profile.") != std::string::npos ||
-         key.find("_us") != std::string::npos ||
-         key.find(".workers") != std::string::npos;
+         key.find("_us") != std::string::npos;
 }
 
-/// Same linear-scan filter as the state-sharding harness: drops wall-clock
+/// Linear-scan filter over the registry export: drops wall-clock
 /// members, keeps everything else — including the storage.* gauges, which
 /// the determinism contract requires to be numerically identical across
 /// modes (byte accounting is pure arithmetic, never file-system feedback).

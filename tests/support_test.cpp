@@ -3,12 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -18,7 +16,6 @@
 #include "support/rng.hpp"
 #include "support/serialize.hpp"
 #include "support/stats.hpp"
-#include "support/thread_pool.hpp"
 
 namespace dlt {
 namespace {
@@ -306,84 +303,6 @@ TEST(Stats, FormatBytes) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(2048), "2.00 KiB");
   EXPECT_EQ(format_bytes(1ULL << 30), "1.00 GiB");
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool edge cases (the coverage sweep lives in crypto_sigcache_test;
-// here: empty batches, exception propagation, teardown discipline).
-
-TEST(ThreadPool, ZeroTaskSubmitIsANoOpInEveryMode) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    support::ThreadPool pool(threads);
-    bool called = false;
-    pool.parallel_for(0, [&](std::size_t) { called = true; });
-    EXPECT_FALSE(called) << "threads=" << threads;
-    // An empty batch must not wedge the pool for later work.
-    std::atomic<int> ran{0};
-    pool.parallel_for(5, [&](std::size_t) { ran.fetch_add(1); });
-    EXPECT_EQ(ran.load(), 5);
-  }
-}
-
-TEST(ThreadPool, WorkerExceptionPropagatesToCaller) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    support::ThreadPool pool(threads);
-    EXPECT_THROW(
-        pool.parallel_for(64,
-                          [&](std::size_t i) {
-                            if (i % 7 == 3)
-                              throw std::runtime_error("task " +
-                                                       std::to_string(i));
-                          }),
-        std::runtime_error) << "threads=" << threads;
-  }
-}
-
-TEST(ThreadPool, ReportsTheFailedIndexAndStaysUsable) {
-  support::ThreadPool pool(4);
-  // A single throwing index always runs (skip-after-failure only triggers
-  // once somebody has thrown), so the rethrown exception is exactly its.
-  try {
-    pool.parallel_for(32, [](std::size_t i) {
-      if (i == 13) throw std::runtime_error(std::to_string(i));
-    });
-    FAIL() << "expected parallel_for to rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "13");
-  }
-  // The failure state is per-batch: the pool keeps working afterwards.
-  std::atomic<std::size_t> sum{0};
-  pool.parallel_for(100, [&](std::size_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 4950u);
-
-  // The inline path (threads <= 1) propagates the first failure directly,
-  // so the lowest index is exact there.
-  support::ThreadPool inline_pool(1);
-  try {
-    inline_pool.parallel_for(8, [](std::size_t i) {
-      throw std::runtime_error(std::to_string(i));
-    });
-    FAIL() << "expected parallel_for to rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "0");
-  }
-}
-
-TEST(ThreadPool, DestructionWithUnconsumedWorkJoinsCleanly) {
-  // Destroying a pool right after batches finish (workers possibly still
-  // waking from the join) and destroying one that never ran any work must
-  // both shut down without hangs or leaks. TSan/ASan runs of this test
-  // guard the teardown handshake.
-  {
-    support::ThreadPool idle(8);
-  }
-  std::atomic<int> ran{0};
-  {
-    support::ThreadPool pool(8);
-    for (int batch = 0; batch < 16; ++batch)
-      pool.parallel_for(256, [&](std::size_t) { ran.fetch_add(1); });
-  }
-  EXPECT_EQ(ran.load(), 16 * 256);
 }
 
 // --- InplaceFunction -----------------------------------------------------

@@ -7,9 +7,7 @@
 // Zipf rank-frequency, the MMPP mean rate, the diurnal phase split.
 //
 // Differential half: for every ledger family, one over-saturation traffic
-// run is replayed across the full determinism matrix
-//   DLT_VERIFY_THREADS ∈ {0, 2, 4} × DLT_PARALLEL_STATE ∈ {0, 1}
-//     × DLT_STORAGE ∈ {memory, disk}
+// run is replayed in both storage modes (DLT_STORAGE ∈ {memory, disk})
 // and must produce byte-identical traces, equal RunMetrics (including the
 // admission tallies), and byte-identical filtered registry JSON. The
 // admission counters must reconcile exactly in every configuration:
@@ -342,35 +340,23 @@ struct ScratchDir {
   std::string str() const { return path.string(); }
 };
 
-/// One cell of the determinism matrix: verify-thread count ×
-/// parallel-state toggle × storage mode. threads == 0 is the serial
-/// reference path.
+/// One cell of the determinism matrix: the storage mode. The memory-mode
+/// run is the reference.
 struct DiffMode {
   const char* name;
-  std::size_t threads;
-  bool parallel_state;
   bool disk;
 };
 
-constexpr DiffMode kDiffModes[] = {
-    {"t2-mem", 2, false, false},
-    {"t4-ps-mem", 4, true, false},
-    {"serial-disk", 0, false, true},
-    {"t2-ps-disk", 2, true, true},
-};
+constexpr DiffMode kDiffModes[] = {{"disk", true}};
 
 bool volatile_metric(const std::string& key) {
-  // profile/_us/workers are wall-clock members; parallel.* counts the
-  // parallel machinery's own batching, which differs by execution mode
-  // even when the simulation outcome is byte-identical.
+  // profile/_us are wall-clock members.
   return key.find("profile.") != std::string::npos ||
-         key.find("_us") != std::string::npos ||
-         key.find(".workers") != std::string::npos ||
-         key.compare(0, 9, "parallel.") == 0;
+         key.find("_us") != std::string::npos;
 }
 
-/// Same linear-scan registry filter as the state-sharding and storage
-/// harnesses: drop wall-clock members, keep everything else byte-exact.
+/// Same linear-scan registry filter as the storage harness: drop
+/// wall-clock members, keep everything else byte-exact.
 std::string filter_registry_json(const std::string& obj) {
   std::string out = "{";
   bool first = true;
@@ -455,8 +441,6 @@ void expect_admission_contract(const TrafficOutcome& o, const char* mode) {
 template <typename Config>
 void apply_diff_mode(Config& cfg, const DiffMode& mode,
                      const ScratchDir* scratch) {
-  cfg.crypto.verify_threads = mode.threads;
-  cfg.crypto.parallel_state = mode.parallel_state;
   if (mode.disk) {
     cfg.storage.mode = storage::StorageMode::kDisk;
     cfg.storage.path = scratch->str();
@@ -513,7 +497,7 @@ TrafficOutcome run_chain_account(const DiffMode& mode, bool enable_mode) {
 
 TEST(TrafficDifferential, ChainAccountMatrix) {
   const TrafficOutcome ref =
-      run_chain_account(DiffMode{"ref", 0, false, false}, false);
+      run_chain_account(DiffMode{"ref", false}, false);
   expect_admission_contract(ref, "ref");
   EXPECT_GT(ref.metrics.confirmed, 0u);
   for (const DiffMode& mode : kDiffModes) {
@@ -562,7 +546,7 @@ TrafficOutcome run_chain_utxo(const DiffMode& mode, bool enable_mode) {
 
 TEST(TrafficDifferential, ChainUtxoMatrix) {
   const TrafficOutcome ref =
-      run_chain_utxo(DiffMode{"ref", 0, false, false}, false);
+      run_chain_utxo(DiffMode{"ref", false}, false);
   expect_admission_contract(ref, "ref");
   EXPECT_GT(ref.metrics.confirmed, 0u);
   for (const DiffMode& mode : kDiffModes) {
@@ -601,7 +585,7 @@ TrafficOutcome run_lattice(const DiffMode& mode, bool enable_mode) {
 }
 
 TEST(TrafficDifferential, LatticeMatrix) {
-  const TrafficOutcome ref = run_lattice(DiffMode{"ref", 0, false, false},
+  const TrafficOutcome ref = run_lattice(DiffMode{"ref", false},
                                          false);
   expect_admission_contract(ref, "ref");
   EXPECT_GT(ref.metrics.confirmed, 0u);
@@ -622,8 +606,7 @@ TrafficOutcome run_tangle(const DiffMode& mode, bool enable_mode) {
   cfg.params.work_bits = 2;
   cfg.seed = 80;
   cfg.obs.trace_capacity = 1u << 16;
-  // Short window: MCMC attach cost grows with cone size, and the matrix
-  // replays this run five times.
+  // Short window: MCMC attach cost grows with cone size.
   cfg.traffic = saturating_traffic(60.0, 6.0, 1536);
   cfg.traffic.drain_burst = 2;
   if (enable_mode) apply_diff_mode(cfg, mode, &scratch);
@@ -643,7 +626,7 @@ TrafficOutcome run_tangle(const DiffMode& mode, bool enable_mode) {
 }
 
 TEST(TrafficDifferential, TangleMatrix) {
-  const TrafficOutcome ref = run_tangle(DiffMode{"ref", 0, false, false},
+  const TrafficOutcome ref = run_tangle(DiffMode{"ref", false},
                                         false);
   expect_admission_contract(ref, "ref");
   EXPECT_GT(ref.metrics.confirmed, 0u);

@@ -18,7 +18,7 @@ Usage:
   tools/bench_diff.py old/BENCH_throughput_chain.json new/BENCH_throughput_chain.json
   tools/bench_diff.py --threshold 10 old.json new.json
   tools/bench_diff.py --exact a/BENCH_x.json b/BENCH_x.json   # byte-level determinism
-  tools/bench_diff.py --exact --ignore cluster.parallel.validate.workers a.json b.json
+  tools/bench_diff.py --exact --ignore metrics.gauges.storage.segments a.json b.json
 """
 
 import argparse

@@ -4,7 +4,7 @@
 #
 #   tools/check.sh                # tier-1 + asan + ubsan
 #   tools/check.sh --fast         # tier-1 only
-#   tools/check.sh --determinism  # tier-1 + parallel-pipeline gates
+#   tools/check.sh --determinism  # tier-1 + same-seed rerun gates
 #   tools/check.sh --tsan         # tier-1 + ThreadSanitizer pass
 #   tools/check.sh --perf         # tier-1 + Release perf gate
 #   tools/check.sh --latency      # tier-1 + lifecycle-latency pipeline gate
@@ -18,14 +18,14 @@
 # implies --fast (the asan/ubsan pair stays opt-out via the plain run).
 #
 # Each pass uses its own build directory so sanitizer flags never leak
-# into the primary build/ tree. --determinism replays the same seed at
-# two worker counts — for both the stateless validation pipeline and the
-# conflict-group state sharding (DLT_PARALLEL_STATE=1) — and requires
-# identical metrics + byte-identical traces (tools/determinism_gate.sh).
-# --tsan exercises the verify-pool data paths (sharded validation, batch
-# verification, sharded state application) under ThreadSanitizer; it is
-# split from the default run because TSan is an order of magnitude
-# slower than the tier-1 suite.
+# into the primary build/ tree. --determinism runs each paper bench twice
+# on the same seed (and in both storage modes) and requires identical
+# metrics + byte-identical traces (tools/determinism_gate.sh).
+# --tsan runs the tier-1 suite under ThreadSanitizer. The simulator is
+# single-threaded; the pass guards the few shared structures that may be
+# touched from more than one thread (the message-type registry mutex, the
+# per-thread digest memos). It is split from the default run because TSan
+# is an order of magnitude slower than the tier-1 suite.
 # --perf builds bench_simcore, bench_hotpath and bench_crypto in a Release
 # tree (build-perf) and gates on the recorded scheduler speedup (the slab
 # engine must hold >= 2x events/sec over the embedded legacy scheduler)

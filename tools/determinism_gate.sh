@@ -1,23 +1,16 @@
 #!/usr/bin/env bash
-# Determinism gate for the parallel pipelines: the same seed run at two
-# different worker counts must emit byte-identical event traces and an
-# identical BENCH_*.json metrics section. Only wall-clock histograms
-# (profile.*, *_us) and the deliberately run-dependent
-# parallel.*.workers gauges are exempt.
+# Determinism gate: the simulator's contract is byte-identical output per
+# seed. Every leg runs a bench twice and demands byte-identical event
+# traces and an identical BENCH_*.json metrics section. Only wall-clock
+# histograms (profile.*, *_us) are exempt.
 #
-# Two legs per paradigm:
-#   validation — DLT_VERIFY_THREADS alone (stateless verdict sharding),
-#                on the two drivers with crypto checks in the hot path.
-#   state      — DLT_PARALLEL_STATE=1 on top (conflict-group sharding of
-#                stateful application, ISSUE 5), on all three throughput
-#                benches: chain (block), dag (lattice), tangle.
-#   storage    — DLT_STORAGE=memory vs disk (pluggable persistence,
-#                ISSUE 9): flipping the storage mode must leave metrics
-#                and traces byte-identical.
-#
-# bench_openloop (E20, ISSUE 10) runs all three legs too: the open-loop
-# traffic engine and the admission queues must replay identically across
-# worker counts, state sharding, and storage modes.
+#   rerun   — the same bench, same seed, run twice: chain (block), dag
+#             (lattice), tangle, the adversary suite and the open-loop
+#             traffic engine (E20, ISSUE 10).
+#   storage — DLT_STORAGE=memory vs disk (pluggable persistence,
+#             ISSUE 9): flipping the storage mode must leave metrics and
+#             traces byte-identical.
+#   simcore — the scheduler microbench's fire-order checksums.
 #
 #   tools/determinism_gate.sh [build-dir]   # default: build
 #
@@ -31,14 +24,10 @@ BUILD="${1:-build}"
 [[ "$BUILD" = /* ]] || BUILD="$(pwd)/$BUILD"
 DIFF="$(pwd)/tools/bench_diff.py"
 
-# gate <bench-name> [state]: run the bench at 2 and 4 verify workers,
-# then demand identical metrics and byte-identical traces. With the
-# "state" leg, DLT_PARALLEL_STATE=1 shards stateful application by
-# conflict groups as well, and the parallel.state.workers gauge joins
-# the exemption list (its counters stay under exact compare).
+# gate <bench-name>: run the bench twice on its fixed seed, then demand
+# identical metrics and byte-identical traces.
 gate() {
   local bench="$1"
-  local leg="${2:-validation}"
   local bin="$BUILD/bench/$bench"
 
   if [[ ! -x "$bin" ]]; then
@@ -46,35 +35,26 @@ gate() {
     exit 2
   fi
 
-  local -a env_extra=()
-  local -a ignore=(--ignore metrics.gauges.parallel.validate.workers)
-  if [[ "$leg" == "state" ]]; then
-    env_extra=(DLT_PARALLEL_STATE=1)
-    ignore+=(--ignore metrics.gauges.parallel.state.workers)
-  fi
-
   local work
   work="$(mktemp -d)"
   # shellcheck disable=SC2064  # expand $work now; one trap per subshell run
   trap "rm -rf '$work'" RETURN
 
-  for threads in 2 4; do
-    local dir="$work/w$threads"
+  for run in 1 2; do
+    local dir="$work/r$run"
     mkdir -p "$dir"
-    echo "=== [determinism/$leg] $bench @ DLT_VERIFY_THREADS=$threads ==="
-    (cd "$dir" &&
-     env "${env_extra[@]}" DLT_VERIFY_THREADS="$threads" DLT_TRACE=1 \
-       "$bin" >/dev/null)
+    echo "=== [determinism/rerun] $bench run $run ==="
+    (cd "$dir" && env DLT_TRACE=1 "$bin" >/dev/null)
   done
 
-  echo "=== [determinism/$leg] $bench metrics: exact diff (wall-clock + worker gauges exempt) ==="
-  python3 "$DIFF" --exact --quiet "${ignore[@]}" \
-    "$work/w2/BENCH_${bench#bench_}.json" \
-    "$work/w4/BENCH_${bench#bench_}.json"
+  echo "=== [determinism/rerun] $bench metrics: exact diff (wall-clock exempt) ==="
+  python3 "$DIFF" --exact --quiet \
+    "$work/r1/BENCH_${bench#bench_}.json" \
+    "$work/r2/BENCH_${bench#bench_}.json"
 
-  echo "=== [determinism/$leg] $bench trace: byte compare ==="
-  cmp "$work/w2/TRACE_${bench#bench_}.jsonl" \
-      "$work/w4/TRACE_${bench#bench_}.jsonl"
+  echo "=== [determinism/rerun] $bench trace: byte compare ==="
+  cmp "$work/r1/TRACE_${bench#bench_}.jsonl" \
+      "$work/r2/TRACE_${bench#bench_}.jsonl"
   echo "traces byte-identical"
 }
 
@@ -95,8 +75,7 @@ gate_storage() {
     exit 2
   fi
 
-  local -a ignore=(--ignore metrics.gauges.parallel.validate.workers
-                   --ignore metrics.gauges.storage.segments)
+  local -a ignore=(--ignore metrics.gauges.storage.segments)
 
   local work
   work="$(mktemp -d)"
@@ -108,8 +87,7 @@ gate_storage() {
     mkdir -p "$dir"
     echo "=== [determinism/storage] $bench @ DLT_STORAGE=$mode ==="
     (cd "$dir" &&
-     env DLT_STORAGE="$mode" DLT_VERIFY_THREADS=2 DLT_TRACE=1 \
-       "$bin" >/dev/null)
+     env DLT_STORAGE="$mode" DLT_TRACE=1 "$bin" >/dev/null)
   done
 
   echo "=== [determinism/storage] $bench metrics: exact diff (segment counts exempt) ==="
@@ -148,14 +126,10 @@ gate_simcore() {
 }
 
 gate bench_throughput_chain
+gate bench_throughput_dag
 gate bench_throughput_tangle
 gate bench_adversarial
-gate bench_throughput_chain state
-gate bench_throughput_dag state
-gate bench_throughput_tangle state
-gate bench_adversarial state
 gate bench_openloop
-gate bench_openloop state
 gate_storage bench_throughput_chain
 gate_storage bench_throughput_tangle
 gate_storage bench_openloop
